@@ -21,8 +21,13 @@
 // Acceptance (printed at the end): post-re-allocation hit ratio of every
 // request-level engine within 2% of its pre-shift value, and sharded-vs-sequential
 // parity within 1% on whole-run hit ratio and cache imbalance.
+//
+// --gate: exit 3 (the repo's unified bench-gate code) unless the acceptance
+// holds. Judge it at full geometry: the smoke-mode cluster is too small for the
+// 1% imbalance parity.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "bench/bench_common.h"
 #include "sim/sim_backend.h"
@@ -30,7 +35,8 @@
 namespace distcache {
 namespace {
 
-void Run(BenchJson& json) {
+// Returns whether the acceptance holds.
+bool Run(BenchJson& json) {
   PrintHeader("Hot-spot shift & online cache re-allocation (engine parity)",
               "hot set rotates by keys/2 at t=40%, controller re-allocates from "
               "observed counts at t=60%; columns: hit ratio per engine");
@@ -104,13 +110,17 @@ void Run(BenchJson& json) {
   const double shd_hit = per_engine[2].hit_ratio();
   const double seq_imb = per_engine[1].CacheImbalance();
   const double shd_imb = per_engine[2].CacheImbalance();
+  const double hit_parity = seq_hit > 0.0 ? shd_hit / seq_hit : 0.0;
+  const double imb_parity = seq_imb > 0.0 ? shd_imb / seq_imb : 0.0;
   std::printf("\nsharded/sequential hit ratio = %.4f, imbalance ratio = %.4f "
               "(|1-x| must be < 0.01)\n",
-              seq_hit > 0.0 ? shd_hit / seq_hit : 0.0,
-              seq_imb > 0.0 ? shd_imb / seq_imb : 0.0);
+              hit_parity, imb_parity);
   std::printf("post-reallocation recovery: sequential %.4f, sharded %.4f "
               "(must be > 0.98)\n",
               recovery[1], recovery[2]);
+  const bool pass = std::abs(1.0 - hit_parity) < 0.01 &&
+                    std::abs(1.0 - imb_parity) < 0.01 && recovery[1] > 0.98 &&
+                    recovery[2] > 0.98;
 
   json.Config("requests", static_cast<double>(requests));
   json.Config("shift_at", static_cast<double>(shift_at));
@@ -124,15 +134,27 @@ void Run(BenchJson& json) {
     json.Metric(std::string(names[e]) + "_recovery", recovery[e]);
     json.Metric(std::string(names[e]) + "_mrps", per_engine[e].throughput_mrps());
   }
-  json.Metric("sharded_vs_sequential_hit",
-              seq_hit > 0.0 ? shd_hit / seq_hit : 0.0);
+  json.Metric("sharded_vs_sequential_hit", hit_parity);
+  json.Metric("sharded_vs_sequential_imbalance", imb_parity);
+  return pass;
 }
 
 }  // namespace
 }  // namespace distcache
 
 int main(int argc, char** argv) {
+  bool gate = false;
+  for (int i = 1; i < argc; ++i) {
+    gate = gate || std::strcmp(argv[i], "--gate") == 0;
+  }
   distcache::BenchJson json(argc, argv, "hotspot_shift");
-  distcache::Run(json);
+  const bool pass = distcache::Run(json);
+  std::printf("acceptance: %s\n", pass ? "PASS" : "FAIL");
+  if (gate && !pass) {
+    std::fprintf(stderr,
+                 "bench_hotspot_shift: gate failed: recovery must exceed 0.98 "
+                 "and sharded/sequential parity must be within 1%%\n");
+    return 3;  // unified bench-gate exit code
+  }
   return 0;
 }

@@ -50,8 +50,9 @@ class CacheSwitch {
   LookupResult Lookup(uint64_t key, std::string* value_out);
 
   // Records a miss for heavy-hitter detection (only for keys in this switch's
-  // partition). Returns true if the key newly crossed the report threshold.
-  bool RecordMiss(uint64_t key) { return hh_.Record(key); }
+  // partition). Returns true if the key newly crossed the report threshold and
+  // the Bloom filter passes the report (the data plane's once-per-epoch dedupe).
+  bool RecordMiss(uint64_t key) { return hh_.Record(key) && hh_.FilterReport(key); }
 
   // --- cache management (agent + coherence protocol) -------------------------------
 

@@ -189,7 +189,50 @@ void EngineCore::ConfigureOpenLoop(const QueueModelConfig& queue,
   server_free_at_.assign(model_->num_servers(), 0.0);
 }
 
+namespace {
+
+bool IsReallocation(const EngineCore::Action& action) {
+  return !action.is_phase &&
+         action.event.kind == ClusterEvent::Kind::kReallocateCache;
+}
+
+// The actions after which ApplyAction resets the observer. A phase boundary or
+// a hot-spot shift starts a new popularity regime, and the controller must rank
+// keys by the new one, not the accumulated past; after a re-allocation the next
+// one ranks by post-reallocation popularity only.
+bool ResetsObserver(const EngineCore::Action& action) {
+  return action.is_phase ||
+         action.event.kind == ClusterEvent::Kind::kShiftHotspot ||
+         IsReallocation(action);
+}
+
+}  // namespace
+
+void EngineCore::UpdateRecordingWindow() {
+  recorder_ = nullptr;
+  if (!observer_) {
+    return;
+  }
+  const auto pending = actions_.begin() + static_cast<std::ptrdiff_t>(next_action_);
+  const auto next_reset = std::find_if(pending, actions_.end(), ResetsObserver);
+  if (next_reset != actions_.end() && IsReallocation(*next_reset)) {
+    recorder_ = observer_.get();
+  }
+}
+
+bool EngineCore::ReallocatePending() const {
+  return std::any_of(actions_.begin() + static_cast<std::ptrdiff_t>(next_action_),
+                     actions_.end(), IsReallocation);
+}
+
 void EngineCore::ApplyAction(const Action& action) {
+  ApplyStep(action);
+  if (ResetsObserver(action)) {
+    ResetObserver();
+  }
+}
+
+void EngineCore::ApplyStep(const Action& action) {
   // Route installation honoring both snapshot flavors: the owning shared_ptr
   // (in-process plans) and the non-owning arena view (multiproc plans).
   const auto install_routes = [this, &action] {
@@ -204,9 +247,6 @@ void EngineCore::ApplyAction(const Action& action) {
     write_ratio_ = action.phase.write_ratio;
     hot_shift_ = action.phase.hot_shift;
     install_routes();
-    // Phase boundaries reset the observation window: the controller must rank
-    // keys by their popularity under the *new* regime, not the accumulated past.
-    ResetObserver();
     if (phase_hook_) {
       phase_hook_(action.phase, action.pmf);
     }
@@ -243,7 +283,6 @@ void EngineCore::ApplyAction(const Action& action) {
     case ClusterEvent::Kind::kShiftHotspot:
       hot_shift_ = event.value;
       install_routes();
-      ResetObserver();
       break;
     case ClusterEvent::Kind::kReallocateCache:
       if (realloc_hook_) {
@@ -251,9 +290,6 @@ void EngineCore::ApplyAction(const Action& action) {
           SetRoutes(std::move(routes));
         }
       }
-      // A fresh window: subsequent re-allocations rank by post-reallocation
-      // popularity only.
-      ResetObserver();
       break;
   }
 }

@@ -93,14 +93,16 @@ std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
     const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
     std::vector<uint8_t> alive_now, uint64_t shift_now);
 
-// True when the timeline contains a kReallocateCache step — the engines then run
-// the core's heavy-hitter observer from the start of the run.
+// True when the timeline contains a kReallocateCache step — the engines then
+// build the core's heavy-hitter observer, which records reads only inside the
+// windows a re-allocation consumes (EngineCore::UpdateRecordingWindow).
 bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
 
 // Total bytes of the base route table plus every precomputed plan snapshot —
 // the figure the engines stamp into BackendStats::route_table_bytes. Tables a
-// runtime re-allocation builds later are not included (realloc timelines are
-// small-config test territory; the plan covers the steady-state footprint).
+// runtime re-allocation builds are not included: they depend on observed
+// counts, so they do not exist when the figure is stamped. Each adds up to one
+// dense pool-sized table (on the paper-default cluster, 51200 entries).
 uint64_t PlanRouteTableBytes(const RouteTable* base,
                              const std::vector<TimelineStep>& plan);
 
@@ -176,7 +178,10 @@ class EngineCore {
   // when the arrival process is disabled; must be called before processing.
   void ConfigureOpenLoop(const QueueModelConfig& queue, uint64_t time_seed);
   // Actions must be queued in at_local order (the plan/multicast order).
-  void QueueAction(Action action) { actions_.push_back(std::move(action)); }
+  void QueueAction(Action action) {
+    actions_.push_back(std::move(action));
+    UpdateRecordingWindow();
+  }
   // Drops queued/applied actions so a Run can re-queue its plan. Note this does
   // NOT rewind routing/phase/failure state to the pre-timeline snapshot — a
   // backend that already replayed a timeline is not a fresh backend. Every
@@ -185,6 +190,7 @@ class EngineCore {
   void ClearActions() {
     actions_.clear();
     next_action_ = 0;
+    UpdateRecordingWindow();
   }
   // Index of the next unapplied action — inside the reallocate hook this is the
   // first post-reallocation step, the start of the suffix whose snapshots the
@@ -216,9 +222,13 @@ class EngineCore {
   // intervals. Engines call this per request (sequential) or per batch (sharded).
   void AdvanceTo(uint64_t processed) {
     const double now = static_cast<double>(processed);
-    while (next_action_ < actions_.size() &&
-           actions_[next_action_].at_local <= now) {
-      ApplyAction(actions_[next_action_++]);
+    if (next_action_ < actions_.size() &&
+        actions_[next_action_].at_local <= now) {
+      do {
+        ApplyAction(actions_[next_action_++]);
+      } while (next_action_ < actions_.size() &&
+               actions_[next_action_].at_local <= now);
+      UpdateRecordingWindow();
     }
     if (sample_step_ > 0.0) {
       while (now >= next_sample_at_) {
@@ -325,19 +335,27 @@ class EngineCore {
   }
 
   // The observer's per-key heavy-hitter reports since the last phase boundary /
-  // re-allocation, hottest-first — what the controller re-allocates from. Empty
-  // when the observer is disabled.
+  // hot-spot shift / re-allocation, hottest-first — what the controller
+  // re-allocates from. Empty when the observer is disabled, and outside a
+  // recording window (see UpdateRecordingWindow).
   std::vector<std::pair<uint64_t, uint32_t>> ObservedCounts() const {
     return observer_ ? observer_->TopReports()
                      : std::vector<std::pair<uint64_t, uint32_t>>{};
   }
+
+  // True when a kReallocateCache action is still queued past the current one —
+  // inside the reallocate hook, whether this re-allocation is the run's last.
+  bool ReallocatePending() const;
 
   // The dynamic-policy runtime (null for kDistCache/kStaticTopK) — tests read
   // its counters and node caches.
   const CachePolicyRuntime* policy_runtime() const { return policy_.get(); }
 
  private:
+  // Applies one action's state transition (ApplyStep), then resets the
+  // observer when the action is one that opens a new observation window.
   void ApplyAction(const Action& action);
+  void ApplyStep(const Action& action);
   // FIFO queue discipline at one station: the request starts service when both
   // it and the node are ready, holds the node for an exponential service time,
   // and its end-to-end latency is the network hops plus everything spent at the
@@ -353,6 +371,13 @@ class EngineCore {
       observer_->NewEpoch();
     }
   }
+  // Recording windows: ObservedCounts() is read only by a kReallocateCache
+  // step, and every phase, hot-spot shift and re-allocation resets the
+  // observer. A read is therefore recorded only while the next pending
+  // resetting action is a kReallocateCache; every other read would be wiped
+  // before anyone looks. Re-derived when the pending action list changes (queue,
+  // clear, apply), never per request.
+  void UpdateRecordingWindow();
 
   const ClusterModel* model_;
   Rng rng_;
@@ -382,6 +407,9 @@ class EngineCore {
   // aggregates reports in software, so we trade memory for clean separation of
   // hot keys from sampled-tail noise, and let counters exceed 16 bits.
   std::unique_ptr<HeavyHitterDetector> observer_;
+  // observer_ inside a recording window, null outside — the hot path's only
+  // observer test.
+  HeavyHitterDetector* recorder_ = nullptr;
 
   std::vector<Action> actions_;
   size_t next_action_ = 0;
@@ -507,10 +535,10 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
+  if (recorder_) {
     // Controller-side popularity observation (per-object hit counters for cached
     // keys, the heavy-hitter sketch for the rest — folded into one detector).
-    observer_->Record(key);
+    recorder_->Record(key);
   }
   // Blackholed candidates degrade the power-of-k choice set: a dead top-layer
   // copy is skipped (k shrinks by one), and a key whose every copy is dead falls
@@ -679,8 +707,8 @@ void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
-    observer_->Record(key);
+  if (recorder_) {
+    recorder_->Record(key);
   }
   CacheNodeId node;
   bool have_node = false;
@@ -790,8 +818,8 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
   }
 
   ++st.reads;
-  if (observer_) {
-    observer_->Record(key);
+  if (recorder_) {
+    recorder_->Record(key);
   }
   const CachePolicyRuntime::ReadProbe probe = policy_->Probe(key);
   if (!probe.hit) {

@@ -371,8 +371,9 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // policies keep the legacy all-to-all — see multiproc_backend.h). Runtime
   // tables cannot be pre-sized exactly, so the regions are worst-case: a
   // report slot holds the observer's max_reports_per_epoch (2·pool) and a
-  // table slot the dense pool with every entry spilled to overflow. Realloc
-  // timelines are small-config test territory, so the worst case stays small.
+  // table slot the dense pool with every entry spilled to overflow. That is not
+  // small: on the paper-default cluster (pool 51200) each report slot holds
+  // 102400 16-byte entries, 1.6 MB per shard and re-allocation step.
   arena_realloc_ = !PolicyIsDynamic(config_.cluster.cache_policy);
   realloc_step_index_.clear();
   report_offset_.clear();
@@ -953,12 +954,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
   // MergeHeavyHitterReports is order-independent and the refill/route build
   // is hash-based and RNG-free, so all processes arrive at identical routes —
   // and at x1 this is literally the in-process controller's code path.
-  model_.SyncControllerRemap(p.core.spine_alive());
-  std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
-    hottest.push_back(key);
-  }
-  model_.ReallocateCache(hottest);
+  ApplyReallocModel(p, reports);
   auto routes = std::make_shared<const RouteTable>(
       BuildRouteTable(model_, p.core.hot_shift()));
   const std::vector<std::shared_ptr<const RouteTable>> suffix =
@@ -995,13 +991,15 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
 }
 
 void MultiprocBackend::ApplyReallocModel(
-    Proc& p, std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports) {
+    Proc& p,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
   // MergeHeavyHitterReports is order-independent and the refill is hash-based
   // and RNG-free, so every process given the same report set arrives at the
-  // same model state — the property controller failover leans on.
+  // same model state — the property controller failover leans on. The refill
+  // keeps the first `pool` keys, so only that prefix is ranked.
   model_.SyncControllerRemap(p.core.spine_alive());
   std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
+  for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
     hottest.push_back(key);
   }
   model_.ReallocateCache(hottest);
@@ -1047,7 +1045,7 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
     }
     reports.push_back(ReadArenaReport(step, s));
   }
-  ApplyReallocModel(p, std::move(reports));
+  ApplyReallocModel(p, reports);
   const RouteTable routes = BuildRouteTable(model_, p.core.hot_shift());
   const std::vector<std::shared_ptr<const RouteTable>> suffix =
       RebuildPlanSuffixRoutes(fired_plan_, p.core.next_action_index(), model_,
@@ -1157,7 +1155,10 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
   //    later step with the refilled allocation state. (The mask covers
   //    shards 0..62; beyond that the report flags stand in, which can
   //    over-include a report the publisher missed — documented limitation.)
-  if (!is_publisher && n > 1) {
+  //    After the last re-allocation step nothing reads that state: later
+  //    steps install the controller's published arena tables, and the phase
+  //    hook reads only the model's config. So the replay is skipped there.
+  if (!is_publisher && n > 1 && p.core.ReallocatePending()) {
     const uint64_t mask = ready >> 1;
     std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
     for (uint32_t s = 0; s < n; ++s) {
@@ -1167,7 +1168,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
         reports.push_back(ReadArenaReport(step, s));
       }
     }
-    ApplyReallocModel(p, std::move(reports));
+    ApplyReallocModel(p, reports);
   }
   const TableView immediate = ViewTable(arena_.At(tables[0]));
   p.core.SetRouteView(immediate.entries, immediate.len, immediate.overflow);
@@ -1422,8 +1423,8 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   // plan snapshot are arena-resident (counted once, in the supervisor's
   // arena_bytes stamp), so a child's private route-table footprint is zero —
   // the figure the memwall gate banks on. Tables a runtime re-allocation
-  // builds on the legacy path are small-config test territory, uncounted
-  // (same rule as PlanRouteTableBytes).
+  // builds on the legacy path are uncounted (same rule as
+  // PlanRouteTableBytes).
   p.local.peak_rss_bytes = CurrentPeakRssBytes();
   p.local.route_table_bytes = 0;
   p.local.sampler_bytes = p.two_level != nullptr ? p.two_level->bytes()

@@ -223,9 +223,9 @@ class MultiprocBackend : public SimBackend {
   // The deterministic controller model mutations (remap sync + heavy-hitter
   // merge + cache refill) every process applies, so later-step takeovers run
   // against a current model.
-  void ApplyReallocModel(Proc& p,
-                         std::vector<std::vector<std::pair<uint64_t, uint32_t>>>
-                             reports);
+  void ApplyReallocModel(
+      Proc& p,
+      const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
   void ApplyDataSlot(Proc& p, const void* slot);
   // Full-ring retry with own-ring drains + backoff; null once aborted or when
   // `peer` was declared dead (callers distinguish via p.abort_seen).

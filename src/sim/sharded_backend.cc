@@ -187,7 +187,7 @@ std::shared_ptr<const RouteTable> ShardedBackend::ReallocateFromReports(
   // left the model at the end-of-timeline state.
   model_.SyncControllerRemap(shard.core.spine_alive());
   std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports)) {
+  for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
     hottest.push_back(key);
   }
   model_.ReallocateCache(hottest);

@@ -7,12 +7,16 @@ namespace distcache {
 CountMinSketch::CountMinSketch(const Config& config)
     : config_(config),
       hashes_(config.rows, config.seed),
-      counters_(config.rows, std::vector<uint32_t>(config.width, 0)) {}
+      width_mask_(config.width != 0 && (config.width & (config.width - 1)) == 0
+                      ? config.width - 1
+                      : 0),
+      counters_(config.rows * config.width, 0) {}
 
 uint32_t CountMinSketch::Update(uint64_t key) {
   uint32_t estimate = std::numeric_limits<uint32_t>::max();
-  for (size_t r = 0; r < config_.rows; ++r) {
-    uint32_t& cell = counters_[r][Slot(r, key)];
+  uint32_t* row = counters_.data();
+  for (size_t r = 0; r < config_.rows; ++r, row += config_.width) {
+    uint32_t& cell = row[Slot(r, key)];
     if (cell < config_.counter_max) {
       ++cell;  // saturating, like a fixed-width data-plane register
     }
@@ -23,16 +27,13 @@ uint32_t CountMinSketch::Update(uint64_t key) {
 
 uint32_t CountMinSketch::Estimate(uint64_t key) const {
   uint32_t estimate = std::numeric_limits<uint32_t>::max();
-  for (size_t r = 0; r < config_.rows; ++r) {
-    estimate = std::min(estimate, counters_[r][Slot(r, key)]);
+  const uint32_t* row = counters_.data();
+  for (size_t r = 0; r < config_.rows; ++r, row += config_.width) {
+    estimate = std::min(estimate, row[Slot(r, key)]);
   }
   return estimate;
 }
 
-void CountMinSketch::Reset() {
-  for (auto& row : counters_) {
-    std::fill(row.begin(), row.end(), 0);
-  }
-}
+void CountMinSketch::Reset() { std::fill(counters_.begin(), counters_.end(), 0); }
 
 }  // namespace distcache

@@ -41,13 +41,19 @@ class CountMinSketch {
   size_t MemoryBits() const { return config_.rows * config_.width * 16; }
 
  private:
+  // Column of `key` in `row`: h_row(key) mod width. A power-of-two width takes
+  // the mask, which selects the same column without a division.
   size_t Slot(size_t row, uint64_t key) const {
-    return static_cast<size_t>(hashes_.Hash(row, key) % config_.width);
+    const uint64_t h = hashes_.Hash(row, key);
+    return static_cast<size_t>(width_mask_ != 0 ? h & width_mask_
+                                                : h % config_.width);
   }
 
   Config config_;
   HashFamily hashes_;
-  std::vector<std::vector<uint32_t>> counters_;
+  uint64_t width_mask_ = 0;  // width - 1 for a power-of-two width, else 0
+  // rows × width counters, row-major in one allocation.
+  std::vector<uint32_t> counters_;
 };
 
 }  // namespace distcache

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <unordered_map>
+
 #include "common/random.h"
 #include "common/zipf.h"
+#include "sketch/bloom_filter.h"
+#include "sketch/count_min.h"
 
 namespace distcache {
 namespace {
@@ -32,7 +38,7 @@ TEST(HeavyHitterDetector, HotKeyReportedOnceAtThreshold) {
   for (int i = 0; i < 100; ++i) {
     reports += hh.Record(7) ? 1 : 0;
   }
-  EXPECT_EQ(reports, 1);  // bloom filter suppresses duplicates within the epoch
+  EXPECT_EQ(reports, 1);  // reported once per epoch
   const auto top = hh.TopReports();
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].first, 7u);
@@ -94,6 +100,163 @@ TEST(HeavyHitterDetector, ReportCapIsEnforced) {
     hh.Record(k);
   }
   EXPECT_LE(hh.TopReports().size(), 8u);
+}
+
+// The report table's reference model: the same sketch feeding a std::map under
+// the detector's admission rule (threshold, then the per-epoch cap), ranked by
+// (estimate desc, key asc). `Record` mirrors HeavyHitterDetector::Record.
+class ReferenceDetector {
+ public:
+  explicit ReferenceDetector(const HeavyHitterDetector::Config& config)
+      : config_(config), sketch_(config.sketch), bloom_(config.bloom) {}
+
+  bool Record(uint64_t key) {
+    const uint32_t estimate = sketch_.Update(key);
+    if (estimate < config_.report_threshold) {
+      return false;
+    }
+    const auto it = reports_.find(key);
+    if (it != reports_.end()) {
+      it->second = estimate;
+      return false;
+    }
+    if (reports_.size() >= config_.max_reports_per_epoch) {
+      return false;
+    }
+    reports_.emplace(key, estimate);
+    return true;
+  }
+
+  // The switch's report decision as the detector made it with the Bloom filter
+  // inside Record: every admitted access tests-and-inserts the key.
+  bool RecordWithBloom(uint64_t key) {
+    const uint32_t estimate = sketch_.Update(key);
+    if (estimate < config_.report_threshold) {
+      return false;
+    }
+    if (reports_.size() >= config_.max_reports_per_epoch && !reports_.contains(key)) {
+      return false;
+    }
+    const bool already_reported = bloom_.InsertAndTest(key);
+    reports_[key] = estimate;
+    return !already_reported;
+  }
+
+  std::vector<std::pair<uint64_t, uint32_t>> TopReports() const {
+    std::vector<std::pair<uint64_t, uint32_t>> out(reports_.begin(), reports_.end());
+    std::stable_sort(out.begin(), out.end(),
+                     [](const auto& a, const auto& b) { return a.second > b.second; });
+    return out;  // the map's key order breaks the ties
+  }
+
+ private:
+  HeavyHitterDetector::Config config_;
+  CountMinSketch sketch_;
+  BloomFilter bloom_;
+  std::map<uint64_t, uint32_t> reports_;
+};
+
+TEST(HeavyHitterDetector, FlatTableMatchesMapReferenceOnZipfStream) {
+  // Narrow sketch and threshold 2: many keys share an estimate (ties), and the
+  // small cap binds long before the stream ends.
+  for (const size_t cap : {size_t{16}, size_t{200}, size_t{100000}}) {
+    HeavyHitterDetector::Config cfg = SmallConfig(2);
+    cfg.sketch.width = 1024;
+    cfg.max_reports_per_epoch = cap;
+    HeavyHitterDetector hh(cfg);
+    ReferenceDetector ref(cfg);
+    ZipfDistribution dist(50000, 0.9);
+    Rng rng(17 + cap);
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      for (int i = 0; i < 30000; ++i) {
+        const uint64_t key = dist.Sample(rng);
+        ASSERT_EQ(hh.Record(key), ref.Record(key)) << "cap " << cap << " access " << i;
+      }
+      const auto top = hh.TopReports();
+      EXPECT_EQ(top, ref.TopReports()) << "cap " << cap;
+      EXPECT_LE(top.size(), cap);
+      if (cap == 16) {
+        EXPECT_EQ(top.size(), cap);  // the cap binds
+      } else {
+        bool tied = false;
+        for (size_t i = 1; i < top.size(); ++i) {
+          tied |= top[i].second == top[i - 1].second;
+        }
+        EXPECT_TRUE(tied) << "the stream must exercise the tie order";
+      }
+      hh.NewEpoch();
+      ref = ReferenceDetector(cfg);
+    }
+  }
+}
+
+TEST(HeavyHitterDetector, SwitchReportsKeepTheBloomDedupe) {
+  // A tiny Bloom filter makes false positives common; the switch's
+  // Record() && FilterReport() must reproduce the Bloom-inside-Record decisions
+  // exactly, false positives included.
+  HeavyHitterDetector::Config cfg = SmallConfig(3);
+  cfg.bloom.bits = 64;
+  cfg.max_reports_per_epoch = 300;
+  HeavyHitterDetector hh(cfg);
+  ReferenceDetector ref(cfg);
+  ZipfDistribution dist(20000, 0.9);
+  Rng rng(23);
+  int reports = 0;
+  for (int i = 0; i < 40000; ++i) {
+    const uint64_t key = dist.Sample(rng);
+    const bool reported = hh.Record(key) && hh.FilterReport(key);
+    ASSERT_EQ(reported, ref.RecordWithBloom(key)) << "access " << i;
+    reports += reported ? 1 : 0;
+  }
+  EXPECT_GT(reports, 0);
+  EXPECT_LT(static_cast<size_t>(reports), hh.TopReports().size());  // some filtered
+}
+
+// The merge's reference model: per-key sums in a hash map, then a full sort.
+std::vector<std::pair<uint64_t, uint64_t>> ReferenceMerge(
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
+  std::unordered_map<uint64_t, uint64_t> merged;
+  for (const auto& list : reports) {
+    for (const auto& [key, count] : list) {
+      merged[key] += count;
+    }
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> out(merged.begin(), merged.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  return out;
+}
+
+TEST(MergeHeavyHitterReports, PrefixEqualsFullMergePrefix) {
+  Rng rng(99);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Keys from a small range (shared across lists) and counts from a small
+    // range, so sums collide and ties are everywhere.
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports(
+        1 + rng.NextBounded(5));
+    for (auto& list : reports) {
+      const uint64_t len = rng.NextBounded(300);
+      std::map<uint64_t, uint32_t> unique;  // a detector reports a key once
+      for (uint64_t i = 0; i < len; ++i) {
+        unique[rng.NextBounded(400)] = static_cast<uint32_t>(2 + rng.NextBounded(4));
+      }
+      list.assign(unique.begin(), unique.end());
+      for (size_t i = list.size(); i > 1; --i) {  // any report order
+        std::swap(list[i - 1], list[rng.NextBounded(i)]);
+      }
+    }
+    const auto full = MergeHeavyHitterReports(reports);
+    ASSERT_EQ(full, ReferenceMerge(reports)) << "trial " << trial;
+    for (const size_t limit :
+         {size_t{0}, size_t{1}, size_t{7}, full.size() / 2, full.size(),
+          full.size() + 5}) {
+      const auto prefix = MergeHeavyHitterReports(reports, limit);
+      ASSERT_EQ(prefix.size(), std::min(limit, full.size()));
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), full.begin()))
+          << "trial " << trial << " limit " << limit;
+    }
+  }
 }
 
 TEST(HeavyHitterDetector, MemoryBitsCombineSketchAndBloom) {
