@@ -24,9 +24,10 @@
 //   multiproc xN   shard processes, compact + two-level, arena-resident plan
 //
 // Columns report peak RSS (context: includes allocator slack and the
-// placement/allocation model) and the engines' deterministic byte accounting
-// (route tables, samplers, arena). The --gate legs use the deterministic
-// bytes, so they are exact at any scale, smoke included:
+// placement model) and the deterministic byte accounting: route tables,
+// samplers, arena, and the cache allocation (CacheAllocation::bytes()). The
+// --gate legs use the deterministic bytes, so they are exact at any scale,
+// smoke included:
 //
 //   gate 1 (compaction): dense route-table bytes >= 50x compact bytes
 //                        (the ISSUE acceptance ratio at 100M keys / ~1M cached);
@@ -34,7 +35,14 @@
 //                        private bytes — < 2x the seq-dense single-process
 //                        bytes (the "beats N x copy-heavy baseline" criterion:
 //                        without the arena-resident plan and compaction this
-//                        figure is ~N x the baseline, not a fraction of one).
+//                        figure is ~N x the baseline, not a fraction of one);
+//   gate 3 (allocation): the compact row's allocation bytes < 1/4 of what
+//                        pool-wide per-rank arrays would take (pool x layers
+//                        x 5 B: a cached flag and a node id per rank and
+//                        layer). The allocation keeps per-rank state only up
+//                        to the rank where every budget is full, so it is
+//                        O(cached keys); pool-wide arrays alone exceed the
+//                        bound 4x over.
 //
 // Detect-and-skip: hosts that cannot map the arena skip the multiproc row and
 // gate 2 (like bench_scaling); hosts without the memory for the full dense
@@ -55,6 +63,7 @@
 
 #include "bench/bench_common.h"
 #include "runtime/shm_arena.h"
+#include "sim/cluster_model.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
 
@@ -63,6 +72,10 @@ namespace {
 
 constexpr uint32_t kShards = 4;
 constexpr double kMiB = 1024.0 * 1024.0;
+// Gate 3: allocation bytes over pool-wide per-rank arrays must stay below this.
+constexpr double kAllocPoolwideBound = 0.25;
+// Bytes per rank and layer of pool-wide per-rank arrays (u8 flag + u32 node).
+constexpr uint64_t kPoolwideBytesPerRankLayer = 5;
 
 struct Geometry {
   uint64_t num_keys;
@@ -127,6 +140,7 @@ struct Row {
   uint64_t route_bytes = 0;
   uint64_t sampler_bytes = 0;
   uint64_t arena_bytes = 0;
+  uint64_t alloc_bytes = 0;
 
   // The deterministic total-footprint figure the gate uses: what this
   // substrate's processes privately hold plus what they share. In-process rows
@@ -158,6 +172,11 @@ Row MeasureRow(const char* name, BackendKind kind, const SimBackendConfig& cfg,
     r->route_bytes = st.route_table_bytes;
     r->sampler_bytes = st.sampler_bytes;
     r->arena_bytes = st.arena_bytes;
+    // The allocation is a pure function of the cluster config, so rebuild it
+    // here rather than carry its size through BackendStats. After the run, so
+    // the rebuild cannot raise the run's peak RSS.
+    const ClusterModel model(cfg.cluster, /*build_popularity=*/false);
+    r->alloc_bytes = model.allocation->bytes();
   };
 #if defined(DISTCACHE_MEMWALL_FORK)
   int fds[2];
@@ -208,11 +227,12 @@ void PrintRow(const Row& r) {
     std::printf("%-14s %10s  (skipped: substrate unavailable)\n", r.name, "-");
     return;
   }
-  std::printf("%-14s %10.2f %8.2f %10.4f %12.1f %10.1f %12.1f %10.1f %12.1f%s\n",
-              r.name, static_cast<double>(r.requests) / 1e6, r.mrps, r.hit_ratio,
-              r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
-              r.arena_bytes / kMiB, r.total_bytes() / kMiB,
-              r.ok ? "" : "  [FAILED]");
+  std::printf(
+      "%-14s %10.2f %8.2f %10.4f %12.1f %10.1f %12.1f %10.1f %12.1f %10.2f%s\n",
+      r.name, static_cast<double>(r.requests) / 1e6, r.mrps, r.hit_ratio,
+      r.peak_rss / kMiB, r.route_bytes / kMiB, r.sampler_bytes / kMiB,
+      r.arena_bytes / kMiB, r.total_bytes() / kMiB, r.alloc_bytes / kMiB,
+      r.ok ? "" : "  [FAILED]");
 }
 
 void RecordRow(BenchJson& json, const Row& r) {
@@ -226,6 +246,7 @@ void RecordRow(BenchJson& json, const Row& r) {
   json.Metric(p + "_sampler_mb", r.sampler_bytes / kMiB);
   json.Metric(p + "_arena_mb", r.arena_bytes / kMiB);
   json.Metric(p + "_total_mb", r.total_bytes() / kMiB);
+  json.Metric(p + "_alloc_mb", r.alloc_bytes / kMiB);
 }
 
 int Run(BenchJson& json, bool gate) {
@@ -263,9 +284,9 @@ int Run(BenchJson& json, bool gate) {
   json.Config("reduced", reduced ? 1.0 : 0.0);
   json.Config("multiproc_supported", multiproc_ok ? 1.0 : 0.0);
 
-  std::printf("\n%-14s %10s %8s %10s %12s %10s %12s %10s %12s\n", "substrate",
-              "req (M)", "Mreq/s", "hit ratio", "peakRSS(MB)", "route(MB)",
-              "sampler(MB)", "arena(MB)", "total(MB)");
+  std::printf("\n%-14s %10s %8s %10s %12s %10s %12s %10s %12s %10s\n",
+              "substrate", "req (M)", "Mreq/s", "hit ratio", "peakRSS(MB)",
+              "route(MB)", "sampler(MB)", "arena(MB)", "total(MB)", "alloc(MB)");
 
   SimBackendConfig dense_cfg = MakeConfig(g);
   dense_cfg.dense_routes = true;
@@ -321,6 +342,15 @@ int Run(BenchJson& json, bool gate) {
                 kShards, multi.total_bytes() / kMiB, share, kShards,
                 kShards * dense.total_bytes() / kMiB);
   }
+  const uint64_t poolwide = g.candidate_pool *
+                            ResolvedCacheLayers(lean.cluster).size() *
+                            kPoolwideBytesPerRankLayer;
+  const double alloc_share =
+      static_cast<double>(seq.alloc_bytes) / static_cast<double>(poolwide);
+  json.Metric("alloc_bytes_over_poolwide", alloc_share);
+  std::printf("allocation bytes: %.2f MB = %.4fx pool-wide per-rank arrays "
+              "(%.1f MB)\n",
+              seq.alloc_bytes / kMiB, alloc_share, poolwide / kMiB);
   if (gate) {
     if (!base_ok) {
       std::fprintf(stderr, "memwall gate FAILED: baseline rows did not run\n");
@@ -350,6 +380,18 @@ int Run(BenchJson& json, bool gate) {
     } else {
       std::printf("memwall gate: multiproc leg skipped (arena unavailable); "
                   "compaction leg still gates\n");
+    }
+    if (!base_ok || alloc_share >= kAllocPoolwideBound) {
+      std::fprintf(stderr,
+                   "memwall gate FAILED: allocation bytes %.4fx pool-wide "
+                   "per-rank arrays, not under %.2fx — allocation is O(pool) "
+                   "again\n",
+                   alloc_share, kAllocPoolwideBound);
+      failed = 1;
+    } else {
+      std::printf("memwall gate OK: allocation %.4fx pool-wide arrays "
+                  "(threshold %.2fx)\n",
+                  alloc_share, kAllocPoolwideBound);
     }
   }
   return failed;

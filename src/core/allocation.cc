@@ -1,6 +1,7 @@
 #include "core/allocation.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -49,12 +50,6 @@ void CacheAllocation::Compute(const Placement& placement) {
   // the remaining budget demand unfilled).
   const uint64_t ranked =
       explicit_hot_list_ ? std::min<uint64_t>(key_of_rank_.size(), pool_) : pool_;
-  cached_.assign(num_layers, {});
-  node_of_.assign(num_layers, {});
-  for (size_t l = 0; l < num_layers; ++l) {
-    cached_[l].assign(pool_, 0);
-    node_of_[l].assign(pool_, 0);
-  }
   layer_contents_.assign(num_layers, {});
   layer_contents_[leaf].assign(config_.layers[leaf].nodes, {});
   partition_contents_.assign(leaf, {});
@@ -69,48 +64,70 @@ void CacheAllocation::Compute(const Placement& placement) {
   const bool upper_partitioned = config_.mechanism == Mechanism::kDistCache;
   const bool top_replicated = config_.mechanism == Mechanism::kCacheReplication;
 
+  // Open slots across every layer the mechanism fills (the replicated top
+  // layer is one set). Once they are all taken no later rank can be cached
+  // anywhere, so the pass stops there.
+  auto slots = [&](size_t l) {
+    return uint64_t{config_.layers[l].nodes} * config_.layers[l].cache_objects;
+  };
+  uint64_t open = leaf_caching ? slots(leaf) : 0;
+  if (upper_partitioned) {
+    for (size_t l = 0; l < leaf; ++l) {
+      open += slots(l);
+    }
+  } else if (top_replicated) {
+    open += config_.layers[0].cache_objects;
+  }
+
   // Ranks are visited hottest-first, so a single ascending pass fills every
   // per-node budget with the hottest members of its partition. All hashes (h_l,
   // placement) are evaluated on the *key id* holding the rank, so an explicit hot
   // list lands each key at its true rack/partitions.
+  cached_.clear();
+  node_of_.clear();
   auto& leaf_contents = layer_contents_[leaf];
-  for (uint64_t rank = 0; rank < ranked; ++rank) {
+  uint64_t rank = 0;
+  for (; rank < ranked && open > 0; ++rank) {
     const uint64_t key = KeyOfRank(rank);
+    uint8_t mask = 0;
+    const size_t base = node_of_.size();
+    node_of_.resize(base + num_layers, 0);
     const uint32_t rack = placement.RackOf(key);
-    node_of_[leaf][rank] = rack;
+    node_of_[base + leaf] = rack;
     if (leaf_caching &&
         leaf_contents[rack].size() < config_.layers[leaf].cache_objects) {
       leaf_contents[rack].push_back(key);
-      cached_[leaf][rank] = 1;
+      mask |= uint8_t{1} << leaf;
     }
     if (upper_partitioned) {
       for (size_t l = 0; l < leaf; ++l) {
         const uint32_t partition = PartitionOf(l, key);
-        node_of_[l][rank] = partition;
+        node_of_[base + l] = partition;
         if (partition_contents_[l][partition].size() <
             config_.layers[l].cache_objects) {
           partition_contents_[l][partition].push_back(key);
-          cached_[l][rank] = 1;
+          mask |= uint8_t{1} << l;
         }
       }
     } else if (top_replicated && rank < config_.layers[0].cache_objects) {
       // The globally hottest objects; identical content in every layer-0 node.
       partition_contents_[0][0].push_back(key);
-      cached_[0][rank] = 1;
+      mask |= 1;
     }
+    cached_.push_back(mask);
+    open -= static_cast<uint64_t>(std::popcount(mask));
   }
+  rank_end_ = rank;
+  cached_.shrink_to_fit();
+  node_of_.shrink_to_fit();
 
   for (size_t l = 0; l < leaf; ++l) {
     DeriveLayerContents(l);
   }
 
   num_cached_ = 0;
-  for (uint64_t rank = 0; rank < ranked; ++rank) {
-    bool any = false;
-    for (size_t l = 0; l < num_layers; ++l) {
-      any = any || cached_[l][rank] != 0;
-    }
-    num_cached_ += any ? 1 : 0;
+  for (const uint8_t mask : cached_) {
+    num_cached_ += mask != 0 ? 1 : 0;
   }
 }
 
@@ -138,12 +155,14 @@ CacheCopies CacheAllocation::CopiesOf(uint64_t key) const {
   const size_t num_layers = config_.layers.size();
   copies.leaf_layer = static_cast<uint8_t>(num_layers - 1);
   const uint64_t rank = RankOf(key);
-  if (rank >= pool_) {
+  if (rank >= rank_end_) {
     return copies;
   }
   const bool replicated = config_.mechanism == Mechanism::kCacheReplication;
+  const uint8_t mask = cached_[rank];
+  const uint32_t* node_of = &node_of_[rank * num_layers];
   for (size_t l = 0; l < num_layers; ++l) {
-    if (!cached_[l][rank]) {
+    if ((mask >> l & 1) == 0) {
       continue;
     }
     if (l == 0 && replicated) {
@@ -151,20 +170,17 @@ CacheCopies CacheAllocation::CopiesOf(uint64_t key) const {
       continue;
     }
     const uint32_t node = l + 1 == num_layers
-                              ? node_of_[l][rank]
-                              : node_of_partition_[l][node_of_[l][rank]];
+                              ? node_of[l]
+                              : node_of_partition_[l][node_of[l]];
     copies.nodes[copies.num++] = {static_cast<uint32_t>(l), node};
   }
   return copies;
 }
 
 uint64_t CacheAllocation::CachedRankEnd() const {
-  const size_t num_layers = config_.layers.size();
-  for (uint64_t rank = pool_; rank-- > 0;) {
-    for (size_t l = 0; l < num_layers; ++l) {
-      if (cached_[l][rank]) {
-        return rank + 1;
-      }
+  for (uint64_t rank = rank_end_; rank-- > 0;) {
+    if (cached_[rank] != 0) {
+      return rank + 1;
     }
   }
   return 0;
@@ -177,14 +193,38 @@ size_t CacheAllocation::OverflowCandidates() const {
   if (config_.mechanism != Mechanism::kDistCache || config_.layers.size() <= 2) {
     return 0;
   }
-  const size_t num_layers = config_.layers.size();
   size_t total = 0;
-  for (uint64_t rank = 0; rank < pool_; ++rank) {
-    size_t copies = 0;
-    for (size_t l = 0; l < num_layers; ++l) {
-      copies += cached_[l][rank] != 0 ? 1 : 0;
+  for (const uint8_t mask : cached_) {
+    const int copies = std::popcount(mask);
+    total += copies > 2 ? static_cast<size_t>(copies) : 0;
+  }
+  return total;
+}
+
+size_t CacheAllocation::bytes() const {
+  auto nested = [](const std::vector<std::vector<uint64_t>>& lists) {
+    size_t total = lists.capacity() * sizeof(lists[0]);
+    for (const auto& list : lists) {
+      total += list.capacity() * sizeof(uint64_t);
     }
-    total += copies > 2 ? copies : 0;
+    return total;
+  };
+  size_t total = cached_.capacity() * sizeof(uint8_t) +
+                 node_of_.capacity() * sizeof(uint32_t) +
+                 key_of_rank_.capacity() * sizeof(uint64_t);
+  // A node-based hash map: one bucket pointer per bucket, and per element the
+  // key/rank pair plus its next pointer.
+  total += rank_of_key_.bucket_count() * sizeof(void*) +
+           rank_of_key_.size() *
+               (sizeof(std::pair<const uint64_t, uint64_t>) + sizeof(void*));
+  for (const auto& layer : layer_contents_) {
+    total += nested(layer);
+  }
+  for (const auto& layer : partition_contents_) {
+    total += nested(layer);
+  }
+  for (const auto& remap : node_of_partition_) {
+    total += remap.capacity() * sizeof(uint32_t);
   }
   return total;
 }
@@ -195,14 +235,16 @@ void CacheAllocation::Refill(const std::vector<uint64_t>& hottest_first,
   key_of_rank_.assign(hottest_first.begin(),
                       hottest_first.begin() +
                           std::min<size_t>(hottest_first.size(), pool_));
+  const std::vector<std::vector<uint32_t>> remaps = node_of_partition_;
+  Compute(placement);
+  // Index only the visited prefix: a key first ranked at or past rank_end_ is
+  // uncached, which is exactly what a miss in the index resolves to.
   rank_of_key_.clear();
-  rank_of_key_.reserve(key_of_rank_.size());
-  for (uint64_t rank = 0; rank < key_of_rank_.size(); ++rank) {
+  rank_of_key_.reserve(rank_end_);
+  for (uint64_t rank = 0; rank < rank_end_; ++rank) {
     // First occurrence wins: a duplicate key keeps its hotter rank.
     rank_of_key_.emplace(key_of_rank_[rank], rank);
   }
-  const std::vector<std::vector<uint32_t>> remaps = node_of_partition_;
-  Compute(placement);
   // Failure remaps in effect survive the re-allocation, layer by layer.
   for (size_t l = 0; l < remaps.size(); ++l) {
     if (!remaps[l].empty()) {

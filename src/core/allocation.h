@@ -131,12 +131,11 @@ class CacheAllocation {
   size_t num_layers() const { return config_.layers.size(); }
   size_t leaf_layer() const { return config_.layers.size() - 1; }
 
-  // Total number of distinct cached keys.
+  // Total number of cached ranks (distinct keys unless a refill list repeats
+  // one).
   size_t num_cached_keys() const { return num_cached_; }
   // One past the largest rank holding any cached copy (0 when nothing is
-  // cached). Ranks at or beyond this resolve to an uncached CacheCopies, which
-  // is what lets the compact route-table build (sim/route_table.h) truncate
-  // its entry array here instead of materializing the full candidate pool.
+  // cached). Ranks at or beyond this resolve to an uncached CacheCopies.
   uint64_t CachedRankEnd() const;
   // Exact number of packed candidates the route-table build spills into
   // RouteTable::overflow (keys with more than two cached copies contribute all
@@ -144,6 +143,10 @@ class CacheAllocation {
   size_t OverflowCandidates() const;
   uint64_t candidate_pool() const { return pool_; }
   const AllocationConfig& config() const { return config_; }
+  // Heap bytes the allocation holds (capacity, not size, like
+  // RouteTable::bytes()): the per-rank arrays, the per-node contents, the
+  // hot list and its key→rank index (estimated per node and bucket).
+  size_t bytes() const;
 
   // Re-runs allocation for upper layer `layer` with some nodes marked failed:
   // their partitions are remapped onto alive nodes via the provided map
@@ -178,7 +181,8 @@ class CacheAllocation {
   void Compute(const Placement& placement);
   void DeriveLayerContents(size_t layer);
 
-  // Rank of `key` in the current hot-set ordering, or pool_ when unranked (tail).
+  // Rank of `key` in the current hot-set ordering, or pool_ when the key is
+  // unranked or ranked at or past the visited prefix (see rank_end_).
   uint64_t RankOf(uint64_t key) const {
     if (!explicit_hot_list_) {
       return key;  // identity: ranks are key ids
@@ -201,12 +205,18 @@ class CacheAllocation {
   // legitimate refill that caches nothing, not a revert to identity.
   bool explicit_hot_list_ = false;
   std::vector<uint64_t> key_of_rank_;
+  // Inverse of key_of_rank_ over ranks < rank_end_ only, first occurrence
+  // winning: every key it misses resolves to uncached.
   std::unordered_map<uint64_t, uint64_t> rank_of_key_;
-  // Dense per-layer, per-rank copy info for ranks < pool_: cached_[l][rank] and
-  // node_of_[l][rank] (for upper layers the *partition*, pre-remap; for the leaf
-  // layer the rack from the placement of the key).
-  std::vector<std::vector<uint8_t>> cached_;
-  std::vector<std::vector<uint32_t>> node_of_;
+  // The fill pass stops at the first rank after which no budget can change
+  // (every slot of every layer the mechanism fills is taken), so per-rank copy
+  // info exists only for ranks < rank_end_; every later rank is uncached.
+  // cached_[rank] has bit l set when layer l holds a copy; node_of_[rank *
+  // layers + l] is then its node (for upper layers the *partition*, pre-remap;
+  // for the leaf layer the rack from the placement of the key).
+  uint64_t rank_end_ = 0;
+  std::vector<uint8_t> cached_;
+  std::vector<uint32_t> node_of_;
   // Per-upper-layer, per-partition cached keys; layer_contents_ derives from these
   // through node_of_partition_ so that failure remaps are cheap and lossless.
   // (Under CacheReplication, partition_contents_[0][0] holds the replicated set.)

@@ -1,5 +1,7 @@
 #include "sim/route_table.h"
 
+#include <algorithm>
+
 namespace distcache {
 
 namespace {
@@ -45,6 +47,25 @@ RouteTable BuildPrefix(const ClusterModel& model, uint64_t hot_shift,
   return routes;
 }
 
+// One past the largest table rank r < pool whose key KeyOfRank(r, hot_shift,
+// num_keys) is `key`, or 0 when no rank below the pool queries it. A pool
+// larger than the key space visits a key once per num_keys ranks.
+uint64_t TableRankEnd(uint64_t key, uint64_t hot_shift, uint64_t num_keys,
+                      uint64_t pool) {
+  if (hot_shift == 0) {
+    return key < pool ? key + 1 : 0;
+  }
+  if (key >= num_keys) {
+    return 0;
+  }
+  const uint64_t shift = hot_shift % num_keys;
+  const uint64_t first = key >= shift ? key - shift : key + num_keys - shift;
+  if (first >= pool) {
+    return 0;
+  }
+  return first + (pool - 1 - first) / num_keys * num_keys + 1;
+}
+
 }  // namespace
 
 RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift) {
@@ -55,20 +76,21 @@ RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift) {
   // That is not the allocation's CachedRankEnd() in general: the table is
   // indexed in rotated rank space (entry r describes key (r + hot_shift) %
   // num_keys), and after a refill the allocation ranks keys through the
-  // observed key→rank index — so find the boundary by probing CopiesOf in
-  // table-rank order from the top. Every rank at or beyond `end` then produces
-  // exactly the kUncached entry the engines' inline fallback recomputes, which
-  // makes the truncated table bit-identical to the dense one at ~C entries
-  // instead of the full 8×-budget candidate pool. The downward probe touches
-  // only uncached ranks (array reads, or hash-index misses post-refill), so
-  // the build stays O(pool) time like the dense one while dropping its memory.
-  uint64_t end = model.pool;
-  while (end > 0) {
-    const uint64_t key = KeyOfRank(end - 1, hot_shift, model.cfg.num_keys);
-    if (model.allocation->CopiesOf(key).cached()) {
-      break;
+  // observed key→rank index. So map every cached key back to the last table
+  // rank below the pool that queries it. Every rank at or beyond `end` then
+  // produces exactly the kUncached entry the engines' inline fallback
+  // recomputes, which makes the truncated table bit-identical to the dense one
+  // at ~C entries instead of the full 8×-budget candidate pool, and the build
+  // is O(cached keys) time as well as memory.
+  const CacheAllocation& allocation = *model.allocation;
+  uint64_t end = 0;
+  for (size_t l = 0; l < allocation.num_layers(); ++l) {
+    for (const std::vector<uint64_t>& contents : allocation.layer_contents(l)) {
+      for (const uint64_t key : contents) {
+        end = std::max(end, TableRankEnd(key, hot_shift, model.cfg.num_keys,
+                                         model.pool));
+      }
     }
-    --end;
   }
   return BuildPrefix(model, hot_shift, end,
                      model.allocation->OverflowCandidates());

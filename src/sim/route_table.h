@@ -56,12 +56,13 @@ static_assert(sizeof(RouteEntry) == 16, "RouteEntry must stay 16 bytes");
 
 struct RouteTable {
   // The hot prefix: one entry per rank [0, entries.size()). A *compact* table
-  // truncates at the allocation's CachedRankEnd() — every rank at or beyond
-  // entries.size() is uncached by construction, and the engines recompute its
-  // server inline from the placement hash (the branch-free fallback in
-  // EngineCore::Process), which is bit-identical to reading a dense kUncached
-  // entry. A dense table (BuildDenseRouteTable) spans the full candidate pool,
-  // so the fallback branch is never taken and behavior is unchanged.
+  // truncates one past the deepest table rank holding a cached key — every
+  // rank at or beyond entries.size() is uncached by construction, and the
+  // engines recompute its server inline from the placement hash (the
+  // branch-free fallback in EngineCore::Process), which is bit-identical to
+  // reading a dense kUncached entry. A dense table (BuildDenseRouteTable)
+  // spans the full candidate pool, so the fallback branch is never taken and
+  // behavior is unchanged.
   std::vector<RouteEntry> entries;
   // Packed candidate runs of entries with num > 2 (see RouteEntry::c1).
   std::vector<uint32_t> overflow;
@@ -80,10 +81,13 @@ struct RouteTable {
 // Builds the table for the allocation's current partition→node mappings (i.e.
 // post-remap if the controller ran) and cached set (post-refill if it
 // re-allocated). `hot_shift` is the workload's current rank→key rotation:
-// entry r describes key (r + hot_shift) % num_keys. Compact by default (one
-// entry per rank in [0, allocation->CachedRankEnd()), exact-reserved); builds
-// the full-pool dense layout instead when model.dense_routes is set (the
-// differential-test / memory-baseline mode).
+// entry r describes key (r + hot_shift) % num_keys. Compact by default: one
+// entry per rank up to the deepest table rank below the pool whose key is
+// cached (found from the allocation's cached keys, so the build is O(cached
+// keys), not O(pool)), exact-reserved. With hot_shift == 0 before any refill
+// that end is allocation->CachedRankEnd(). Builds the full-pool dense layout
+// instead when model.dense_routes is set (the differential-test /
+// memory-baseline mode).
 RouteTable BuildRouteTable(const ClusterModel& model, uint64_t hot_shift = 0);
 
 // The pre-compaction layout: one entry per rank [0, model.pool), uncached tail

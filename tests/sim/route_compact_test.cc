@@ -167,6 +167,72 @@ TEST(CompactRoutes, SnapshotBytesDropAtMemwallGeometry) {
       << "dense " << dense.bytes() << " B vs compact " << compact.bytes() << " B";
 }
 
+// The downward probe the compact build used to run: from the top of the pool,
+// drop table ranks until one routes a cached key. O(pool), kept here as the
+// reference for the O(cached keys) end computation.
+uint64_t ProbedEnd(const ClusterModel& model, uint64_t hot_shift) {
+  uint64_t end = model.pool;
+  while (end > 0 &&
+         !model.allocation
+              ->CopiesOf(KeyOfRank(end - 1, hot_shift, model.cfg.num_keys))
+              .cached()) {
+    --end;
+  }
+  return end;
+}
+
+// The compact end is found from the cached keys: for each, the last table rank
+// below the pool that queries it. It must equal the probe for every rotation —
+// none, by one, by half and by all but one of the key space, and a shift that
+// rotates the hottest cached keys past the pool while the rest stay inside —
+// before and after a refill (which ranks keys through the observed index), at
+// depth 2 and 3, and for a pool larger than the key space (where a key is
+// queried by several table ranks).
+TEST(CompactRoutes, EndFromCachedKeysMatchesDownwardProbe) {
+  for (const size_t layers : {size_t{2}, size_t{3}}) {
+    for (const uint64_t num_keys : {uint64_t{1'000'000}, uint64_t{3'000}}) {
+      SimBackendConfig bcfg = GoldenBackendConfig();
+      bcfg.cluster.num_keys = num_keys;
+      if (layers == 3) {
+        bcfg.cluster.cache_layers.assign(3, LayerSpec{8, 50});
+      }
+      ClusterModel model(bcfg.cluster, /*build_popularity=*/false);
+      const uint64_t n = num_keys;
+      ASSERT_EQ(model.pool > n, num_keys == 3'000);
+      for (const bool refilled : {false, true}) {
+        // Post-refill the hot set starts at key n/3; a few duplicates ride
+        // along (first occurrence wins), and so does an id outside the key
+        // space, which a rotated table never queries.
+        const uint64_t hot_base = refilled ? n / 3 : 0;
+        if (refilled) {
+          std::vector<uint64_t> hottest(model.pool);
+          for (uint64_t r = 0; r < hottest.size(); ++r) {
+            hottest[r] = (hot_base + r) % n;
+          }
+          hottest[3] = n + 5;
+          hottest[7] = hottest[2];
+          hottest[100] = hottest[50];
+          model.ReallocateCache(hottest);
+        }
+        // Rotating by half the cached span wraps the cached keys below it to
+        // table ranks near n, past the pool; the keys above it stay inside.
+        const uint64_t wrap = hot_base + model.allocation->CachedRankEnd() / 2;
+        for (const uint64_t hot_shift : {uint64_t{0}, uint64_t{1}, n / 2, n - 1, wrap}) {
+          SCOPED_TRACE("L=" + std::to_string(layers) + " keys=" + std::to_string(n) +
+                       (refilled ? " refilled" : "") +
+                       " shift=" + std::to_string(hot_shift));
+          const RouteTable compact = BuildRouteTable(model, hot_shift);
+          EXPECT_EQ(compact.entries.size(), ProbedEnd(model, hot_shift));
+          if (n > model.pool && hot_shift == wrap) {
+            EXPECT_GT(compact.entries.size(), 0u);
+            EXPECT_LT(compact.entries.size(), model.allocation->CachedRankEnd());
+          }
+        }
+      }
+    }
+  }
+}
+
 // The candidate_pool override must leave the *default* auto shape untouched
 // (0 = the historical 8x-budget pool every golden pins) and clamp to num_keys.
 TEST(CompactRoutes, CandidatePoolOverrideDefaultsAndClamps) {
