@@ -63,9 +63,11 @@ void Run(BenchJson& json) {
   }
 
   // Engine scaling: the same fig-9(c) workload executed request-by-request through
-  // the pluggable SimBackend engines (see sim/sim_backend.h). The sharded runtime's
-  // batched hot path must beat the sequential reference by >=2x while reproducing
-  // its cache hit ratio and load-imbalance stats within 5%.
+  // the pluggable SimBackend engines (see sim/sim_backend.h). The sharded runtime
+  // must reproduce the sequential reference's cache hit ratio and load-imbalance
+  // stats within 5%. Both engines run batched; on a 4-vCPU VM (three runs) the
+  // sequential engine reads 10.5-14.3 Mreq/s, sharded x1 1.5-1.8x that and
+  // sharded x4 4.3-5.9x.
   PrintHeader("Engine throughput on the fig-9(c) workload (requests/s of the simulator itself)",
               "paper-default cluster, zipf-0.99, read-only; 8M requests per engine");
   const uint64_t kRequests = BenchSmoke() ? 200'000 : 8'000'000;

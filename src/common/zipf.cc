@@ -117,10 +117,23 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> pmf, std::string 
   }
 }
 
-uint64_t DiscreteDistribution::Sample(Rng& rng) const {
-  const double u = rng.NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<uint64_t>(it - cdf_.begin());
+uint64_t DiscreteDistribution::IndexOf(double u) const {
+  // std::lower_bound's index (the first cdf entry not below u), found without
+  // a data-dependent branch: every halving step selects the upper half with a
+  // conditional add, so independent searches overlap instead of serializing
+  // on mispredicted branches. Entries before `base` stay below u, and the
+  // entry at base + n (or the end) is not.
+  const double* base = cdf_.data();
+  size_t n = cdf_.size();
+  if (n == 0) {
+    return 0;
+  }
+  while (n > 1) {
+    const size_t half = n / 2;
+    base += base[half] < u ? half : 0;
+    n -= half;
+  }
+  return static_cast<uint64_t>(base - cdf_.data()) + (*base < u ? 1 : 0);
 }
 
 double DiscreteDistribution::TopMass(uint64_t k) const {

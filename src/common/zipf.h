@@ -97,7 +97,14 @@ class DiscreteDistribution : public KeyDistribution {
  public:
   explicit DiscreteDistribution(std::vector<double> pmf, std::string name = "discrete");
 
-  uint64_t Sample(Rng& rng) const override;
+  uint64_t Sample(Rng& rng) const override { return IndexOf(rng.NextDouble()); }
+  // Sample() in two steps, for callers that draw first and search later: the
+  // index a uniform draw u in [0, 1) selects, and — with one compare, no
+  // search — whether that index is the last one.
+  uint64_t IndexOf(double u) const;
+  bool SelectsLast(double u) const {
+    return cdf_.size() < 2 || cdf_[cdf_.size() - 2] < u;
+  }
   double Pmf(uint64_t key) const override {
     return key < pmf_.size() ? pmf_[key] : 0.0;
   }

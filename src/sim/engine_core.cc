@@ -1,6 +1,7 @@
 #include "sim/engine_core.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 namespace distcache {
@@ -218,6 +219,26 @@ void EngineCore::UpdateRecordingWindow() {
   if (next_reset != actions_.end() && IsReallocation(*next_reset)) {
     recorder_ = observer_.get();
   }
+}
+
+uint64_t EngineCore::NextAdvanceAt() const {
+  // Smallest request index p with double(p) >= t, saturating past the range.
+  const auto first_index_at = [](double t) -> uint64_t {
+    const double c = std::ceil(t);
+    if (!(c > 0.0)) {
+      return 0;
+    }
+    return c < 0x1p64 ? static_cast<uint64_t>(c)
+                      : std::numeric_limits<uint64_t>::max();
+  };
+  uint64_t next = std::numeric_limits<uint64_t>::max();
+  if (next_action_ < actions_.size()) {
+    next = first_index_at(actions_[next_action_].at_local);
+  }
+  if (sample_step_ > 0.0) {
+    next = std::min(next, first_index_at(next_sample_at_));
+  }
+  return next;
 }
 
 bool EngineCore::ReallocatePending() const {

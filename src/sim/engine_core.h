@@ -8,8 +8,9 @@
 // per-interval series bookkeeping. This class owns that path once; the engines
 // differ only in how they drive it:
 //
-//   * the sequential backend runs one EngineCore, advancing it per request and
-//     applying timeline actions at exact request timestamps;
+//   * the sequential backend runs one EngineCore in batches cut at the next
+//     timeline action, sample point and telemetry epoch (NextAdvanceAt), so it
+//     advances at batch starts yet applies actions at exact request timestamps;
 //   * each sharded worker runs its own EngineCore, advancing it at batch
 //     boundaries with timeline timestamps scaled to the shard's quota, and with
 //     load charging / telemetry routed through the owner-partitioned gossip
@@ -219,7 +220,9 @@ class EngineCore {
 
   // Applies every queued action with at_local <= processed (events fire just
   // before the request that reaches their timestamp), then closes any due sample
-  // intervals. Engines call this per request (sequential) or per batch (sharded).
+  // intervals. Engines call this at batch starts: the sequential engine cuts its
+  // batches at NextAdvanceAt(), so it acts at exact request indices; the shard
+  // engines act at their fixed batch boundaries.
   void AdvanceTo(uint64_t processed) {
     const double now = static_cast<double>(processed);
     if (next_action_ < actions_.size() &&
@@ -238,6 +241,12 @@ class EngineCore {
     }
   }
 
+  // The first request index at which AdvanceTo would act: the ceiling of the
+  // next queued action's timestamp or of the next sample point, whichever is
+  // first (UINT64_MAX when neither exists). Right after AdvanceTo(i) it is
+  // past i, and AdvanceTo at any index before it is a no-op.
+  uint64_t NextAdvanceAt() const;
+
   // Closes the trailing partial interval at end of run.
   void FinishSeries(uint64_t processed) {
     if (sample_step_ > 0.0 && processed > interval_mark_.requests) {
@@ -246,13 +255,38 @@ class EngineCore {
   }
 
   // ---- hot path ------------------------------------------------------------
-  // Executes one request sampled as head rank `bucket` (== model->pool for the
-  // aggregated tail bucket). Charges loads through `sink`:
+  // One request's input from the core RNG: the sampled bucket (a head rank, or
+  // model->pool for the aggregated tail bucket), the key rank it resolves to
+  // (the bucket itself for head ranks) and the write flag.
+  struct RequestInput {
+    uint64_t rank;
+    uint32_t bucket;
+    bool is_write;
+  };
+  // Draws the write flag (only when the phase has writes), then a tail
+  // bucket's rank: the core RNG order of every engine, right after the
+  // sampler's draw for the same request. The only later draw is
+  // TransitBlackholed inside Process, and only while TransitCanDraw().
+  RequestInput DrawInput(uint32_t bucket) {
+    RequestInput in;
+    in.bucket = bucket;
+    in.is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
+    in.rank = bucket == model_->pool
+                  ? model_->pool +
+                        rng_.NextBounded(model_->cfg.num_keys - model_->pool)
+                  : bucket;
+    return in;
+  }
+
+  // Executes one request from its drawn input. Charges loads through `sink`:
   //   sink.AddCacheLoad(CacheNodeId, double)  — cache switch charge; the sink
   //       owns the telemetry-view update policy (see class comment);
   //   sink.AddServerLoad(uint32_t, double)    — storage server charge.
+  // `observed`, when set, is the read's key staged on the observer ahead of
+  // time (ProcessBatch); otherwise a recording read hashes its key here.
   template <typename Sink>
-  void Process(Sink& sink, uint32_t bucket);
+  void Process(Sink& sink, const RequestInput& in,
+               const HeavyHitterDetector::Staged* observed = nullptr);
 
   // Policy variants behind the single dispatch branch in Process() (PR 5
   // hot-path rule: the default kDistCache path pays exactly one
@@ -261,17 +295,24 @@ class EngineCore {
   // candidate instead of the PoT choice; ProcessPolicy drives the per-node
   // dynamic cache runtime (core/cache_policy.h).
   template <typename Sink>
-  void ProcessSerialStatic(Sink& sink, uint32_t bucket);
+  void ProcessSerialStatic(Sink& sink, const RequestInput& in,
+                           const HeavyHitterDetector::Staged* observed);
   template <typename Sink>
-  void ProcessPolicy(Sink& sink, uint32_t bucket);
+  void ProcessPolicy(Sink& sink, const RequestInput& in,
+                     const HeavyHitterDetector::Staged* observed);
 
-  // Batched hot path: executes `count` requests whose sampled buckets were
-  // staged into `buckets` up front (the batch's stochastic input as a flat
-  // array), software-prefetching the route-table entries of upcoming requests
-  // a fixed distance ahead. Requests execute through Process() in order, so
-  // the batch is bit-identical to the per-request loop in every engine state
-  // (pinned by the sharded golden test); the implementation comment records
-  // why a deeper two-pass SoA staging measured slower and was rejected.
+  // Batched hot path over drawn inputs: executes `count` requests in order,
+  // software-prefetching the route-table entries of upcoming requests a fixed
+  // distance ahead and, inside a recording window, their observer cells. The
+  // caller drew `inputs` in request order and must not span a batch across a
+  // TransitCanDraw() window: Process would then draw after later inputs.
+  template <typename Sink>
+  void ProcessBatch(Sink& sink, const RequestInput* inputs, uint32_t count);
+  // Batched hot path over sampled buckets (the shard engines): each request's
+  // input is drawn right before it runs, so the RNG order matches one
+  // request at a time. Inside a recording window with no transit draws, the
+  // whole batch's inputs are drawn first — the same order, since Process then
+  // draws nothing — and run through the prefetching overload above.
   template <typename Sink>
   void ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t count);
 
@@ -312,10 +353,13 @@ class EngineCore {
                     static_cast<double>(node.layer) + 1.0);
   }
 
+  // True while TransitBlackholed draws from the core RNG: a spine is dead and
+  // the controller's recovery has not run. Changes only at timeline actions.
+  bool TransitCanDraw() const { return !recovery_ran_ && dead_spines_ > 0; }
   // True when the request must be dropped: pre-recovery ECMP transit through one
-  // of the dead spine switches. Consumes RNG only while failures are active.
+  // of the dead spine switches. Consumes RNG only while TransitCanDraw().
   bool TransitBlackholed() {
-    return !recovery_ran_ && dead_spines_ > 0 &&
+    return TransitCanDraw() &&
            rng_.NextBounded(model_->cfg.num_spine) < dead_spines_;
   }
 
@@ -371,6 +415,23 @@ class EngineCore {
       observer_->NewEpoch();
     }
   }
+  // ProcessBatch's look-ahead, in requests.
+  static constexpr uint32_t kPrefetchDistance = 16;
+  // Compact tables leave buckets past the hot prefix (and the tail bucket)
+  // with no entry to fetch; clamp those to entry 0 — one cmov, and the formed
+  // address stays inside the allocation.
+  static void PrefetchRoute(const RouteEntry* data, uint32_t hot_len,
+                            uint32_t bucket) {
+    __builtin_prefetch(&data[bucket < hot_len ? bucket : 0], 0, 1);
+  }
+  // Records one read in a recording window (recorder_ set).
+  void Observe(uint64_t key, const HeavyHitterDetector::Staged* observed) {
+    if (observed != nullptr) {
+      recorder_->Record(*observed);
+    } else {
+      recorder_->Record(key);
+    }
+  }
   // Recording windows: ObservedCounts() is read only by a kReallocateCache
   // step, and every phase, hot-spot shift and re-allocation resets the
   // observer. A read is therefore recorded only while the next pending
@@ -419,6 +480,7 @@ class EngineCore {
   BackendStats::IntervalPoint interval_mark_;
 
   std::vector<CacheNodeId> scratch_candidates_;  // kReplicated slow path
+  std::vector<RequestInput> staged_inputs_;      // bucket ProcessBatch, windows
 
   // Open-loop virtual-time state (ConfigureOpenLoop). time_rng_ is a dedicated
   // stream so enabling the layer never perturbs the key/write draws; free_at
@@ -446,7 +508,8 @@ class EngineCore {
 };
 
 template <typename Sink>
-void EngineCore::Process(Sink& sink, uint32_t bucket) {
+void EngineCore::Process(Sink& sink, const RequestInput& in,
+                         const HeavyHitterDetector::Staged* observed) {
   // Open-loop arrival first (a no-op compare when the layer is off): every
   // request's arrival timestamp exists before any routing decision, in all
   // three policy variants, so the arrival process is policy-independent.
@@ -456,31 +519,27 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   // not-taken branch, preserving the pre-policy goldens bit-for-bit.
   if (__builtin_expect(policy_mode_ != kStaticPot, 0)) {
     if (policy_mode_ == kDynamicPolicy) {
-      ProcessPolicy(sink, bucket);
+      ProcessPolicy(sink, in, observed);
     } else {
-      ProcessSerialStatic(sink, bucket);
+      ProcessSerialStatic(sink, in, observed);
     }
     return;
   }
   const ClusterConfig& cc = model_->cfg;
   BackendStats& st = *stats_;
-  const bool is_tail = bucket == model_->pool;
-  const bool is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
+  const uint32_t bucket = in.bucket;
+  const bool is_write = in.is_write;
+  const uint64_t key = KeyOfRank(in.rank, hot_shift_, cc.num_keys);
 
   uint32_t server;
-  uint64_t key;
   const RouteEntry* entry = nullptr;
-  if (is_tail) {
-    const uint64_t rank =
-        model_->pool + rng_.NextBounded(cc.num_keys - model_->pool);
-    key = KeyOfRank(rank, hot_shift_, cc.num_keys);
+  if (bucket == model_->pool) {
     server = model_->placement.ServerOf(key);
     // Tail keys are treated as uncached even right after a hot-spot shift, when
     // the formerly-hot (still cached, now tail) keys would briefly hit: their
     // per-key mass is ~1/num_keys, a vanishing correction the fluid model ignores
     // for the same reason.
   } else if (__builtin_expect(bucket < route_hot_len_, 1)) {
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
     entry = &route_data_[bucket];
     server = entry->server;
   } else {
@@ -489,7 +548,6 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
     // hash the dense build evaluated and leave `entry` null — the request then
     // flows down the existing uncached path, bit-identical to reading a dense
     // kUncached entry (no RNG is consumed either way).
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
     server = model_->placement.ServerOf(key);
   }
 
@@ -538,7 +596,7 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
   if (recorder_) {
     // Controller-side popularity observation (per-object hit counters for cached
     // keys, the heavy-hitter sketch for the rest — folded into one detector).
-    recorder_->Record(key);
+    Observe(key, observed);
   }
   // Blackholed candidates degrade the power-of-k choice set: a dead top-layer
   // copy is skipped (k shrinks by one), and a key whose every copy is dead falls
@@ -635,7 +693,8 @@ void EngineCore::Process(Sink& sink, uint32_t bucket) {
 }
 
 template <typename Sink>
-void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
+void EngineCore::ProcessSerialStatic(Sink& sink, const RequestInput& in,
+                                     const HeavyHitterDetector::Staged* observed) {
   // kStaticTopK: identical contents, coherence and failure semantics to the
   // static path above, but reads go to the *first alive candidate* (top layer
   // first) instead of the balanced power-of-k choice. The PotRouter is never
@@ -645,24 +704,19 @@ void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
   // precisely the paper's claim this policy isolates.
   const ClusterConfig& cc = model_->cfg;
   BackendStats& st = *stats_;
-  const bool is_tail = bucket == model_->pool;
-  const bool is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
+  const uint32_t bucket = in.bucket;
+  const bool is_write = in.is_write;
+  const uint64_t key = KeyOfRank(in.rank, hot_shift_, cc.num_keys);
 
   uint32_t server;
-  uint64_t key;
   const RouteEntry* entry = nullptr;
-  if (is_tail) {
-    const uint64_t rank =
-        model_->pool + rng_.NextBounded(cc.num_keys - model_->pool);
-    key = KeyOfRank(rank, hot_shift_, cc.num_keys);
+  if (bucket == model_->pool) {
     server = model_->placement.ServerOf(key);
   } else if (__builtin_expect(bucket < route_hot_len_, 1)) {
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
     entry = &route_data_[bucket];
     server = entry->server;
   } else {
     // Same compact-table fallback as the static path.
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
     server = model_->placement.ServerOf(key);
   }
 
@@ -708,7 +762,7 @@ void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
 
   ++st.reads;
   if (recorder_) {
-    recorder_->Record(key);
+    Observe(key, observed);
   }
   CacheNodeId node;
   bool have_node = false;
@@ -760,7 +814,8 @@ void EngineCore::ProcessSerialStatic(Sink& sink, uint32_t bucket) {
 }
 
 template <typename Sink>
-void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
+void EngineCore::ProcessPolicy(Sink& sink, const RequestInput& in,
+                               const HeavyHitterDetector::Staged* observed) {
   // The dynamic-policy request path. Same stream derivation, coherence costs,
   // transit-blackhole and counter semantics as the static path; hits and
   // admissions come from the per-node policy runtime instead of the
@@ -768,17 +823,8 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
   // blackholed requests from perturbing replacement state (they never arrive).
   const ClusterConfig& cc = model_->cfg;
   BackendStats& st = *stats_;
-  const bool is_tail = bucket == model_->pool;
-  const bool is_write = write_ratio_ > 0.0 && rng_.NextBernoulli(write_ratio_);
-
-  uint64_t key;
-  if (is_tail) {
-    const uint64_t rank =
-        model_->pool + rng_.NextBounded(cc.num_keys - model_->pool);
-    key = KeyOfRank(rank, hot_shift_, cc.num_keys);
-  } else {
-    key = KeyOfRank(bucket, hot_shift_, cc.num_keys);
-  }
+  const bool is_write = in.is_write;
+  const uint64_t key = KeyOfRank(in.rank, hot_shift_, cc.num_keys);
   const uint32_t server = model_->placement.ServerOf(key);
 
   if (is_write) {
@@ -819,7 +865,7 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
 
   ++st.reads;
   if (recorder_) {
-    recorder_->Record(key);
+    Observe(key, observed);
   }
   const CachePolicyRuntime::ReadProbe probe = policy_->Probe(key);
   if (!probe.hit) {
@@ -855,14 +901,12 @@ void EngineCore::ProcessPolicy(Sink& sink, uint32_t bucket) {
 }
 
 template <typename Sink>
-void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t count) {
-  // One fused pass over the sampled bucket stream (the SoA staging of the
-  // batch: all stochastic inputs are materialized in `buckets` before any
-  // request executes), with route-table entries software-prefetched a fixed
-  // distance ahead — the bucket stream is the only input to the entry address,
-  // so the line is warm by the time the branch tree needs it. Requests run
-  // through Process() in order, so this is bit-identical to the per-request
-  // loop in every engine state, including active failure windows.
+void EngineCore::ProcessBatch(Sink& sink, const RequestInput* inputs,
+                              uint32_t count) {
+  // One fused pass over the drawn inputs, with route-table entries
+  // software-prefetched a fixed distance ahead — the bucket is the only input
+  // to the entry address, so the line is warm by the time the branch tree
+  // needs it. Requests run through Process() in order.
   //
   // A fully staged two-pass variant (resolve key/server/entry into SoA arrays,
   // then route) was measured at ~10-15% *slower* than this fused loop on the
@@ -872,22 +916,69 @@ void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t coun
   // not already hide. Re-measure with bench_scaling before re-staging.
   const RouteEntry* const route_data = route_data_;
   const uint32_t hot_len = route_hot_len_;
-  constexpr uint32_t kPrefetchDistance = 16;
-  // Compact tables leave buckets past the hot prefix (and the tail bucket)
-  // with no entry to fetch; clamp those to entry 0 — one cmov, and the
-  // formed address stays inside the allocation.
-  const auto prefetch_entry = [route_data, hot_len](uint32_t bucket) {
-    __builtin_prefetch(&route_data[bucket < hot_len ? bucket : 0], 0, 1);
-  };
   const uint32_t lead = count < kPrefetchDistance ? count : kPrefetchDistance;
+  if (recorder_ == nullptr) {
+    for (uint32_t i = 0; i < lead; ++i) {
+      PrefetchRoute(route_data, hot_len, inputs[i].bucket);
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      if (i + kPrefetchDistance < count) {
+        PrefetchRoute(route_data, hot_len, inputs[i + kPrefetchDistance].bucket);
+      }
+      Process(sink, inputs[i]);
+    }
+    return;
+  }
+  // Recording window: each request's key is also hashed once onto the
+  // observer, the same distance ahead, and its sketch cells and report slot
+  // prefetched (writes record nothing; staging them keeps the loop
+  // branch-free). The ring holds the in-flight distance twice over, so a slot
+  // is rewritten only after its request ran.
+  constexpr uint32_t kRing = 2 * kPrefetchDistance;
+  HeavyHitterDetector::Staged observed[kRing];
+  const auto stage = [&](uint32_t i) {
+    PrefetchRoute(route_data, hot_len, inputs[i].bucket);
+    const HeavyHitterDetector::Staged staged = recorder_->Stage(
+        KeyOfRank(inputs[i].rank, hot_shift_, model_->cfg.num_keys));
+    recorder_->Prefetch(staged);
+    observed[i % kRing] = staged;
+  };
   for (uint32_t i = 0; i < lead; ++i) {
-    prefetch_entry(buckets[i]);
+    stage(i);
   }
   for (uint32_t i = 0; i < count; ++i) {
     if (i + kPrefetchDistance < count) {
-      prefetch_entry(buckets[i + kPrefetchDistance]);
+      stage(i + kPrefetchDistance);
     }
-    Process(sink, buckets[i]);
+    Process(sink, inputs[i], &observed[i % kRing]);
+  }
+}
+
+template <typename Sink>
+void EngineCore::ProcessBatch(Sink& sink, const uint32_t* buckets, uint32_t count) {
+  if (recorder_ != nullptr && !TransitCanDraw()) {
+    staged_inputs_.resize(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      staged_inputs_[i] = DrawInput(buckets[i]);
+    }
+    ProcessBatch(sink, staged_inputs_.data(), count);
+    return;
+  }
+  // Otherwise each input is drawn right before its request runs: the only
+  // correct order while transit drops draw, and the faster one outside
+  // recording windows — staging the batch in a separate pass measured about
+  // 8-15% slower on the read-only path, with no observer line to prefetch.
+  const RouteEntry* const route_data = route_data_;
+  const uint32_t hot_len = route_hot_len_;
+  const uint32_t lead = count < kPrefetchDistance ? count : kPrefetchDistance;
+  for (uint32_t i = 0; i < lead; ++i) {
+    PrefetchRoute(route_data, hot_len, buckets[i]);
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    if (i + kPrefetchDistance < count) {
+      PrefetchRoute(route_data, hot_len, buckets[i + kPrefetchDistance]);
+    }
+    Process(sink, DrawInput(buckets[i]));
   }
 }
 

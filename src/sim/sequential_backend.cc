@@ -1,5 +1,6 @@
 #include "sim/sequential_backend.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -108,16 +109,22 @@ BackendStats SequentialBackend::Run(uint64_t num_requests) {
                        step.phase, step.event, step.pmf, step.routes});
   }
   SequentialSink sink{&st, &core_.view()};
+  const uint64_t epoch = config_.epoch_requests;
+  const uint64_t batch = std::max<uint32_t>(config_.batch_size, 1);
+  inputs_.resize(batch);
+  uniforms_.resize(batch);
 
   const auto t0 = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < num_requests; ++i) {
+  for (uint64_t i = 0; i < num_requests;) {
+    // A batch starts where the request-at-a-time loop would change state:
+    // timeline actions and sample points (AdvanceTo), and telemetry epochs.
     core_.AdvanceTo(i);
 
     // Telemetry epoch boundary: refresh the client's view from true loads.
     // Between boundaries the per-request Set() in the sink keeps the view exact
     // for routed nodes. (Dead spines emit no telemetry; the tracker routes their
     // refresh to the shadow value, keeping the +inf pin — see load_tracker.h.)
-    if (config_.epoch_requests != 0 && i % config_.epoch_requests == 0) {
+    if (epoch != 0 && i % epoch == 0) {
       for (uint32_t layer = 0; layer < st.cache_load.size(); ++layer) {
         for (uint32_t n = 0; n < st.cache_load[layer].size(); ++n) {
           core_.view().Set({layer, n}, st.cache_load[layer][n]);
@@ -125,11 +132,43 @@ BackendStats SequentialBackend::Run(uint64_t num_requests) {
       }
     }
 
-    const uint32_t bucket =
-        two_level_ != nullptr
-            ? two_level_->Sample(core_.rng())
-            : static_cast<uint32_t>(head_dist_->Sample(core_.rng()));
-    core_.Process(sink, bucket);
+    // The batch ends before the next index at which AdvanceTo acts or an
+    // epoch starts. While transit drops draw from the core RNG, Process draws
+    // after the request's inputs, so the batch is that one request.
+    uint64_t end = std::min(num_requests, core_.NextAdvanceAt());
+    if (epoch != 0) {
+      end = std::min(end, (i / epoch + 1) * epoch);
+    }
+    const uint32_t count = static_cast<uint32_t>(
+        core_.TransitCanDraw() ? 1 : std::min(end - i, batch));
+    // Each request's draws in the request-at-a-time order: sampler, then the
+    // core's write flag and tail rank. Drawing the batch in its own pass lets
+    // consecutive samples' table lookups overlap.
+    if (two_level_ != nullptr) {
+      for (uint32_t k = 0; k < count; ++k) {
+        inputs_[k] = core_.DrawInput(two_level_->Sample(core_.rng()));
+      }
+    } else {
+      // The inverse-CDF sampler draws one uniform, and a request's later
+      // draws depend only on whether it selects the tail bucket: one compare.
+      // The binary searches for the head buckets then run after all draws,
+      // independent of each other and of the RNG.
+      const uint32_t tail = static_cast<uint32_t>(model_.pool);
+      for (uint32_t k = 0; k < count; ++k) {
+        const double u = core_.rng().NextDouble();
+        uniforms_[k] = u;
+        inputs_[k] = core_.DrawInput(head_dist_->SelectsLast(u) ? tail : 0);
+      }
+      for (uint32_t k = 0; k < count; ++k) {
+        EngineCore::RequestInput& in = inputs_[k];
+        if (in.bucket != tail) {
+          in.bucket = static_cast<uint32_t>(head_dist_->IndexOf(uniforms_[k]));
+          in.rank = in.bucket;
+        }
+      }
+    }
+    core_.ProcessBatch(sink, inputs_.data(), count);
+    i += count;
   }
   const auto t1 = std::chrono::steady_clock::now();
   st.requests = num_requests;

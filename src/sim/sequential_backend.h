@@ -1,13 +1,25 @@
 // The single-threaded request-level reference backend.
 //
-// Deliberately the straightforward driver around the shared EngineCore: one
-// request at a time through the faithful path — inverse-CDF key sampling
-// (O(log pool) binary search through the phase's head+tail pmf), the core's
-// route-table resolution, PoT choice with dead-node degradation, and a
-// per-request LoadTracker refresh (the piggybacked-telemetry semantics of §4.2).
-// It is the semantic baseline the sharded backend's batched hot path is validated
-// against, and the denominator of the engine-throughput comparison in
-// bench_fig9c_scalability.
+// Deliberately the straightforward loop around the shared EngineCore: the
+// faithful path — inverse-CDF key sampling (O(log pool) binary search through
+// the phase's head+tail pmf), the core's route-table resolution, PoT choice with
+// dead-node degradation, and a per-request LoadTracker refresh (the
+// piggybacked-telemetry semantics of §4.2). It is the semantic baseline the
+// sharded backend is validated against, and the denominator of the
+// engine-throughput comparison in bench_fig9c_scalability.
+//
+// Batch-granular advance with exact cuts: the engine draws up to batch_size
+// requests' inputs (sampler, then the core's write flag and tail rank, request
+// by request — the order of a one-request-at-a-time loop) and runs them through
+// the core's prefetching ProcessBatch. Behind the inverse-CDF sampler the
+// binary searches run after the batch's draws: a request's later draws depend
+// only on whether its uniform selects the tail bucket, which is one compare
+// (DiscreteDistribution::SelectsLast). A batch ends where the next timeline
+// action, sample point (EngineCore::NextAdvanceAt) or telemetry epoch begins,
+// so AdvanceTo and the view refresh run only at batch starts yet act at exact
+// request indices. While pre-recovery transit drops draw from the core RNG
+// (EngineCore::TransitCanDraw), each batch is one request. A run is therefore
+// bit-identical at every batch_size (tests/sim/sequential_batch_test.cc).
 //
 // Timeline semantics (ClusterEvent + WorkloadPhase, applied at exact request
 // timestamps — see engine_core.h for the shared state machine):
@@ -54,6 +66,8 @@ class SequentialBackend : public SimBackend {
   std::unique_ptr<TwoLevelSampler> two_level_;
   uint64_t base_route_bytes_ = 0;  // pre-timeline snapshot, for stats
   EngineCore core_;
+  std::vector<EngineCore::RequestInput> inputs_;  // one batch's drawn inputs
+  std::vector<double> uniforms_;  // the inverse-CDF sampler's draws, per input
 };
 
 }  // namespace distcache

@@ -140,9 +140,11 @@ struct SimBackendConfig {
   // route-entry lines) still sits in L1 while amortizing sampling, the
   // batch-boundary transport polls, and the event-queue reschedule over 4x more
   // requests than the historical 64 — and giving the route-entry prefetcher a
-  // longer run. Batch size changes the RNG draw interleaving (buckets are
-  // sampled batch-at-a-time), so runs are bit-reproducible per batch size, not
-  // across batch sizes; the sharded golden test pins the legacy 64.
+  // longer run. In the shard engines batch size changes the RNG draw
+  // interleaving (buckets are sampled batch-at-a-time), so their runs are
+  // bit-reproducible per batch size, not across batch sizes; the sharded golden
+  // test pins the legacy 64. The sequential engine draws in request order and
+  // is bit-identical at every batch size.
   uint32_t batch_size = 256;
   // Telemetry epoch length in requests per shard: how often each shard broadcasts
   // its cumulative per-node load partials and folds in its peers' — the view

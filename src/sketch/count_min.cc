@@ -4,19 +4,27 @@
 
 namespace distcache {
 
-CountMinSketch::CountMinSketch(const Config& config)
-    : config_(config),
-      hashes_(config.rows, config.seed),
-      width_mask_(config.width != 0 && (config.width & (config.width - 1)) == 0
-                      ? config.width - 1
-                      : 0),
-      counters_(config.rows * config.width, 0) {}
+namespace {
 
-uint32_t CountMinSketch::Update(uint64_t key) {
+CountMinSketch::Config ClampRows(CountMinSketch::Config config) {
+  config.rows = std::min(config.rows, CountMinSketch::kMaxRows);
+  return config;
+}
+
+}  // namespace
+
+CountMinSketch::CountMinSketch(const Config& config)
+    : config_(ClampRows(config)),
+      hashes_(config_.rows, config_.seed),
+      width_mask_(config_.width != 0 && (config_.width & (config_.width - 1)) == 0
+                      ? config_.width - 1
+                      : 0),
+      counters_(config_.rows * config_.width, 0) {}
+
+uint32_t CountMinSketch::Update(const Cells& cells) {
   uint32_t estimate = std::numeric_limits<uint32_t>::max();
-  uint32_t* row = counters_.data();
-  for (size_t r = 0; r < config_.rows; ++r, row += config_.width) {
-    uint32_t& cell = row[Slot(r, key)];
+  for (size_t r = 0; r < config_.rows; ++r) {
+    uint32_t& cell = counters_[cells.index[r]];
     if (cell < config_.counter_max) {
       ++cell;  // saturating, like a fixed-width data-plane register
     }

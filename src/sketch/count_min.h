@@ -16,8 +16,12 @@ namespace distcache {
 
 class CountMinSketch {
  public:
+  // Most rows a sketch keeps: the paper's 4 register arrays. A larger
+  // Config::rows is clamped, so one key's cells fit a fixed-size Cells record.
+  static constexpr size_t kMaxRows = 4;
+
   struct Config {
-    size_t rows = 4;        // paper: 4 register arrays
+    size_t rows = 4;        // paper: 4 register arrays (at most kMaxRows)
     size_t width = 65536;   // paper: 64K slots per array
     uint32_t counter_max = std::numeric_limits<uint16_t>::max();  // 16-bit registers
     uint64_t seed = 0x5eedc0de;
@@ -25,8 +29,29 @@ class CountMinSketch {
 
   explicit CountMinSketch(const Config& config);
 
+  // The counter cells of one key, one per row, as indices into the counter
+  // array: the key is hashed once, and the cells can be prefetched before the
+  // update that touches them.
+  struct Cells {
+    size_t index[kMaxRows];
+  };
+  Cells Locate(uint64_t key) const {
+    Cells cells{};
+    for (size_t r = 0; r < config_.rows; ++r) {
+      cells.index[r] = r * config_.width + Slot(r, key);
+    }
+    return cells;
+  }
+  void Prefetch(const Cells& cells) const {
+    for (size_t r = 0; r < config_.rows; ++r) {
+      __builtin_prefetch(&counters_[cells.index[r]], 1, 1);
+    }
+  }
+
+  // Increments the counters at `cells` and returns the post-update estimate.
+  uint32_t Update(const Cells& cells);
   // Increments the counters for `key` and returns the post-update estimate.
-  uint32_t Update(uint64_t key);
+  uint32_t Update(uint64_t key) { return Update(Locate(key)); }
 
   // Point-query estimate of the count of `key` (an overestimate in expectation).
   uint32_t Estimate(uint64_t key) const;

@@ -65,8 +65,9 @@ HeavyHitterDetector::HeavyHitterDetector(const Config& config)
                            config.max_reports_per_epoch / 4 + 1)),
       slot_mask_(slots_.size() - 1) {}
 
-HeavyHitterDetector::ReportSlot& HeavyHitterDetector::FindSlot(uint64_t key) {
-  for (size_t i = Mix64(key) & slot_mask_;; i = (i + 1) & slot_mask_) {
+HeavyHitterDetector::ReportSlot& HeavyHitterDetector::FindSlot(uint64_t key,
+                                                               size_t home) {
+  for (size_t i = home;; i = (i + 1) & slot_mask_) {
     ReportSlot& slot = slots_[i];
     if (slot.used == 0 || slot.key == key) {
       return slot;
@@ -74,12 +75,13 @@ HeavyHitterDetector::ReportSlot& HeavyHitterDetector::FindSlot(uint64_t key) {
   }
 }
 
-bool HeavyHitterDetector::Record(uint64_t key) {
-  const uint32_t estimate = sketch_.Update(key);
+bool HeavyHitterDetector::Record(const Staged& staged) {
+  const uint32_t estimate = sketch_.Update(staged.cells);
   if (estimate < config_.report_threshold) {
     return false;
   }
-  ReportSlot& slot = FindSlot(key);
+  const uint64_t key = staged.key;
+  ReportSlot& slot = FindSlot(key, staged.home);
   if (slot.used != 0) {
     slot.count = estimate;  // rank by the latest count
     return false;

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 
@@ -45,12 +46,30 @@ class HeavyHitterDetector {
 
   explicit HeavyHitterDetector(const Config& config);
 
+  // One key hashed once: its sketch cells and the first report-table slot of its
+  // probe run. Both are pure functions of the key, so a record staged ahead of
+  // time stays valid while other keys are recorded.
+  struct Staged {
+    uint64_t key;
+    CountMinSketch::Cells cells;
+    size_t home;
+  };
+  Staged Stage(uint64_t key) const {
+    return {key, sketch_.Locate(key), static_cast<size_t>(Mix64(key)) & slot_mask_};
+  }
+  // Pulls the staged cells and report slot toward the cache ahead of Record.
+  void Prefetch(const Staged& staged) const {
+    sketch_.Prefetch(staged.cells);
+    __builtin_prefetch(&slots_[staged.home], 0, 1);
+  }
+
   // Records one access to an *uncached* key (cached keys are counted by the per-object
   // hit counters instead, as in NetCache). Returns true if this access entered the key
   // into the report table — it crossed the report threshold for the first time this
   // epoch and the table had room. A reported key's stored estimate tracks its latest
   // count.
-  bool Record(uint64_t key);
+  bool Record(const Staged& staged);
+  bool Record(uint64_t key) { return Record(Stage(key)); }
 
   // The data-plane report dedupe (§5): inserts `key` into the Bloom filter and returns
   // true unless all its bits were already set. The switch runs it on each key Record()
@@ -75,8 +94,8 @@ class HeavyHitterDetector {
     uint32_t used = 0;
   };
 
-  // `key`'s slot, or the free slot that ends its probe run.
-  ReportSlot& FindSlot(uint64_t key);
+  // `key`'s slot, or the free slot that ends its probe run from `home`.
+  ReportSlot& FindSlot(uint64_t key, size_t home);
 
   Config config_;
   CountMinSketch sketch_;

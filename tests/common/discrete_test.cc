@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
+#include <vector>
+
 #include "common/random.h"
 #include "common/zipf.h"
 
@@ -34,6 +39,39 @@ TEST(DiscreteDistribution, SamplesFollowPmf) {
   EXPECT_NEAR(counts[0] / static_cast<double>(kSamples), 0.7, 0.02);
   EXPECT_NEAR(counts[1] / static_cast<double>(kSamples), 0.2, 0.02);
   EXPECT_NEAR(counts[2] / static_cast<double>(kSamples), 0.1, 0.02);
+}
+
+TEST(DiscreteDistribution, IndexOfIsLowerBoundOfTheCdf) {
+  // Zero-mass keys repeat cdf values, and draws equal to a cdf entry sit on
+  // the search's tie: IndexOf must still return std::lower_bound's index, and
+  // SelectsLast must agree with it, for every pmf length.
+  Rng rng(9);
+  for (size_t n = 1; n <= 70; ++n) {
+    std::vector<double> pmf(n);
+    for (size_t i = 0; i < n; ++i) {
+      pmf[i] = i % 3 == 1 ? 0.0 : 1.0 + static_cast<double>(i % 5);
+    }
+    const DiscreteDistribution d(pmf);
+    std::vector<double> cdf(n);
+    for (size_t i = 0; i < n; ++i) {
+      cdf[i] = d.TopMass(i + 1);
+    }
+    // Draws are in [0, 1), like Rng::NextDouble; a rounded-up cdf entry can
+    // exceed the 1.0 the last entry is pinned to, so only entries below 1
+    // make valid ties.
+    std::vector<double> draws = {0.0, std::nextafter(1.0, 0.0)};
+    std::copy_if(cdf.begin(), cdf.end(), std::back_inserter(draws),
+                 [](double c) { return c < 1.0; });
+    for (int i = 0; i < 200; ++i) {
+      draws.push_back(rng.NextDouble());
+    }
+    for (const double u : draws) {
+      const uint64_t want = static_cast<uint64_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      ASSERT_EQ(d.IndexOf(u), want) << "n " << n << " u " << u;
+      ASSERT_EQ(d.SelectsLast(u), want == n - 1) << "n " << n << " u " << u;
+    }
+  }
 }
 
 TEST(DiscreteDistribution, ZeroMassKeysNeverSampled) {

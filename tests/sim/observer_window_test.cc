@@ -68,7 +68,8 @@ class WindowHarness {
     for (uint64_t i = 0; i < requests; ++i) {
       probe(i);
       core_.AdvanceTo(i);
-      core_.Process(sink, static_cast<uint32_t>(i % 32));
+      const uint32_t bucket = static_cast<uint32_t>(i % 32);
+      core_.ProcessBatch(sink, &bucket, 1);
     }
   }
 

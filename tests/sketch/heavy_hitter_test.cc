@@ -190,6 +190,40 @@ TEST(HeavyHitterDetector, FlatTableMatchesMapReferenceOnZipfStream) {
   }
 }
 
+TEST(HeavyHitterDetector, RecordsStagedAheadMatchRecordByKey) {
+  // The batch core stages each key (sketch cells and report slot) a fixed
+  // distance ahead and records it later, after the keys in between were
+  // recorded; the decisions and the ranking must equal Record(key) in order.
+  // The small cap fills the table, so late keys probe long runs.
+  constexpr size_t kAhead = 16;
+  HeavyHitterDetector::Config cfg = SmallConfig(2);
+  cfg.sketch.width = 1024;
+  cfg.max_reports_per_epoch = 400;
+  HeavyHitterDetector staged_hh(cfg);
+  HeavyHitterDetector keyed_hh(cfg);
+  ZipfDistribution dist(50000, 0.9);
+  Rng rng(23);
+  std::vector<uint64_t> keys(20000);
+  for (uint64_t& key : keys) {
+    key = dist.Sample(rng);
+  }
+  std::vector<HeavyHitterDetector::Staged> ahead;
+  for (size_t i = 0; i < kAhead; ++i) {
+    ahead.push_back(staged_hh.Stage(keys[i]));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const HeavyHitterDetector::Staged staged = ahead[i % kAhead];
+    if (i + kAhead < keys.size()) {
+      ahead[i % kAhead] = staged_hh.Stage(keys[i + kAhead]);
+      staged_hh.Prefetch(ahead[i % kAhead]);
+    }
+    ASSERT_EQ(staged.key, keys[i]);
+    ASSERT_EQ(staged_hh.Record(staged), keyed_hh.Record(keys[i])) << "access " << i;
+  }
+  EXPECT_EQ(staged_hh.TopReports(), keyed_hh.TopReports());
+  EXPECT_EQ(staged_hh.TopReports().size(), cfg.max_reports_per_epoch);
+}
+
 TEST(HeavyHitterDetector, SwitchReportsKeepTheBloomDedupe) {
   // A tiny Bloom filter makes false positives common; the switch's
   // Record() && FilterReport() must reproduce the Bloom-inside-Record decisions
