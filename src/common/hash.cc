@@ -41,6 +41,7 @@ TabulationHash::TabulationHash(uint64_t seed) : seed_(seed) {
       cell = rng.Next();
     }
   }
+  high_zero_ = HighBytes(0);
 }
 
 HashFamily::HashFamily(size_t count, uint64_t seed) {

@@ -56,8 +56,11 @@ class TabulationHash {
   explicit TabulationHash(uint64_t seed);
 
   uint64_t operator()(uint64_t key) const {
-    uint64_t h = 0;
-    for (int i = 0; i < 8; ++i) {
+    // Key ids below 2^32 (every simulated key space) have four zero high
+    // bytes, whose rows always select entry 0: their XOR is precomputed, so
+    // such a key costs four lookups and hashes to the same value.
+    uint64_t h = key >> 32 == 0 ? high_zero_ : HighBytes(key);
+    for (int i = 0; i < 4; ++i) {
       h ^= table_[i][static_cast<uint8_t>(key >> (8 * i))];
     }
     return h;
@@ -66,8 +69,17 @@ class TabulationHash {
   uint64_t seed() const { return seed_; }
 
  private:
+  uint64_t HighBytes(uint64_t key) const {
+    uint64_t h = 0;
+    for (int i = 4; i < 8; ++i) {
+      h ^= table_[i][static_cast<uint8_t>(key >> (8 * i))];
+    }
+    return h;
+  }
+
   uint64_t seed_;
   std::array<std::array<uint64_t, 256>, 8> table_;
+  uint64_t high_zero_ = 0;  // table_[4][0] ^ ... ^ table_[7][0]
 };
 
 // A family of independent hash functions {h_0 .. h_{layers-1}}, one per cache layer.

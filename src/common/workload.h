@@ -49,9 +49,18 @@ struct WorkloadPhase {
 // of a tie wins (a zero-length phase is applied and immediately superseded).
 void SortPhasesByStart(std::vector<WorkloadPhase>& phases);
 
-// The key id carrying popularity rank `rank` under a phase's rotation.
+// The key id carrying popularity rank `rank` under a phase's rotation. With
+// both operands already below num_keys their sum is below 2·num_keys, so one
+// conditional subtract replaces the division.
 inline uint64_t KeyOfRank(uint64_t rank, uint64_t hot_shift, uint64_t num_keys) {
-  return hot_shift == 0 ? rank : (rank + hot_shift) % num_keys;
+  if (hot_shift == 0) {
+    return rank;
+  }
+  if (rank < num_keys && hot_shift < num_keys) {
+    const uint64_t key = rank + hot_shift;
+    return key >= num_keys ? key - num_keys : key;
+  }
+  return (rank + hot_shift) % num_keys;
 }
 
 // Parses a phase list from the CLI syntax

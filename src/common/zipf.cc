@@ -106,11 +106,14 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> pmf, std::string 
     // back to uniform, which at least keeps Sample()/Pmf()/TopMass() consistent.
     pmf_.assign(pmf_.size(), 1.0 / static_cast<double>(pmf_.size()));
   }
+  // Accumulated rounding can carry an interior sum past 1.0; clamping every
+  // entry keeps the cdf monotone up to the last entry, pinned to 1.0. Draws
+  // are below 1, so the clamp selects no different index.
   cdf_.resize(pmf_.size());
   double acc = 0.0;
   for (size_t i = 0; i < pmf_.size(); ++i) {
     acc += pmf_[i];
-    cdf_[i] = acc;
+    cdf_[i] = std::min(acc, 1.0);
   }
   if (!cdf_.empty()) {
     cdf_.back() = 1.0;  // guard against rounding

@@ -6,15 +6,13 @@
 
 namespace distcache {
 
-namespace {
-
 // Observer sizing: the simulated controller aggregates switch reports in
 // software, so the sketch is deliberately wider than the data-plane defaults
 // (§5: 4×64K×16bit). Width 2^18 keeps per-cell collision mass ≪ 1 for the
 // request windows the benches run, and threshold 2 admits every key seen twice
 // within an observation window — sampled-tail keys essentially never are, head
 // keys almost always are.
-HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
+HeavyHitterDetector::Config EngineCore::ObserverConfig(uint64_t pool) {
   HeavyHitterDetector::Config cfg;
   cfg.sketch.width = 1 << 18;
   cfg.sketch.counter_max = std::numeric_limits<uint32_t>::max();
@@ -22,6 +20,8 @@ HeavyHitterDetector::Config ObserverConfig(uint64_t pool) {
   cfg.max_reports_per_epoch = static_cast<size_t>(2 * pool);
   return cfg;
 }
+
+namespace {
 
 // Applies one plan step's routing-relevant transition to (alive, shift, model) —
 // the single source of truth for how a step changes the controller state — and

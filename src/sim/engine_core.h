@@ -379,13 +379,18 @@ class EngineCore {
   }
 
   // The observer's per-key heavy-hitter reports since the last phase boundary /
-  // hot-spot shift / re-allocation, hottest-first — what the controller
-  // re-allocates from. Empty when the observer is disabled, and outside a
-  // recording window (see UpdateRecordingWindow).
+  // hot-spot shift / re-allocation, in ascending key order — what the
+  // controller re-allocates from, after MergeHeavyHitterReports ranks them.
+  // Each shard sorts only its own keys, and the merge reads the lists as they
+  // are. Empty when the observer is disabled, and outside a recording window
+  // (see UpdateRecordingWindow).
   std::vector<std::pair<uint64_t, uint32_t>> ObservedCounts() const {
-    return observer_ ? observer_->TopReports()
+    return observer_ ? observer_->ReportsByKey()
                      : std::vector<std::pair<uint64_t, uint32_t>>{};
   }
+  // The observer's sizing for a candidate pool of `pool` ranks. Its
+  // max_reports_per_epoch bounds every ObservedCounts() list.
+  static HeavyHitterDetector::Config ObserverConfig(uint64_t pool);
 
   // True when a kReallocateCache action is still queued past the current one —
   // inside the reallocate hook, whether this re-allocation is the run's last.

@@ -5,6 +5,8 @@
 #include <cassert>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <functional>
@@ -370,10 +372,11 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // Single-controller realloc rendezvous (static policies only; dynamic
   // policies keep the legacy all-to-all — see multiproc_backend.h). Runtime
   // tables cannot be pre-sized exactly, so the regions are worst-case: a
-  // report slot holds the observer's max_reports_per_epoch (2·pool) and a
-  // table slot the dense pool with every entry spilled to overflow. That is not
-  // small: on the paper-default cluster (pool 51200) each report slot holds
-  // 102400 16-byte entries, 1.6 MB per shard and re-allocation step.
+  // report slot holds the observer's max_reports_per_epoch (taken from the
+  // observer's own config, 2·pool) and a table slot the dense pool with every
+  // entry spilled to overflow. That is not small: on the paper-default cluster
+  // (pool 51200) each report slot holds 102400 16-byte entries, 1.6 MB per
+  // shard and re-allocation step.
   arena_realloc_ = !PolicyIsDynamic(config_.cluster.cache_policy);
   realloc_step_index_.clear();
   report_offset_.clear();
@@ -386,7 +389,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
     }
   }
   if (arena_realloc_ && !realloc_step_index_.empty()) {
-    report_entry_cap_ = static_cast<size_t>(2 * model_.pool);
+    report_entry_cap_ = EngineCore::ObserverConfig(model_.pool).max_reports_per_epoch;
     table_cap_bytes_ =
         sizeof(ArenaTableHeader) +
         static_cast<size_t>(model_.pool) * sizeof(RouteEntry) +
@@ -1077,7 +1080,17 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
     auto* flag = reinterpret_cast<std::atomic<uint64_t>*>(slot);
     if (flag->load(std::memory_order_acquire) == 0) {
       const auto report = p.core.ObservedCounts();
-      const size_t count = std::min(report.size(), report_entry_cap_);
+      const size_t count = report.size();
+      if (count > report_entry_cap_) {
+        // The slot is sized from the observer's own report cap, so this is a
+        // broken invariant. Truncating a key-ordered report would drop its
+        // largest keys rather than its coldest, so stop instead.
+        std::fprintf(stderr,
+                     "multiproc shard %u: %zu heavy-hitter reports exceed the "
+                     "%zu-entry report slot\n",
+                     p.id, count, report_entry_cap_);
+        std::abort();
+      }
       auto* entries = reinterpret_cast<ReportEntry*>(slot + kCacheLineSize);
       for (size_t i = 0; i < count; ++i) {
         entries[i] = {report[i].first, report[i].second};

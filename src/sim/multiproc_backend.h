@@ -87,11 +87,14 @@
 //     controller shard;
 //   * the kReallocateCache rendezvous goes through the arena, single-
 //     controller with deterministic failover: every shard publishes its
-//     heavy-hitter report into an idempotent per-(step, shard) arena slot,
-//     then the lowest-indexed *live* shard claims a per-step controller word
-//     (CAS; value = claimant + 1), merges the published reports (a shard that
-//     died before publishing is excluded; the merged-shard mask rides in the
-//     ready word), runs the controller computation and serializes the rebuilt
+//     heavy-hitter report, in key order, into an idempotent per-(step,
+//     shard) arena slot sized by the observer's report cap (a longer report
+//     aborts the shard rather than lose its largest keys), then the
+//     lowest-indexed *live* shard claims a per-step controller word
+//     (CAS; value = claimant + 1), merges the published key-ordered reports
+//     in one k-way pass (a shard that died before publishing is excluded; the
+//     merged-shard mask rides in the ready word), runs the controller
+//     computation and serializes the rebuilt
 //     immediate + suffix tables into the step's arena region behind the ready
 //     flag; every shard then installs them as views. If the claimant dies
 //     before publishing (kShardDead is only set after the process is reaped,

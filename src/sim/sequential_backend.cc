@@ -7,6 +7,7 @@
 
 #include "common/hash.h"
 #include "sim/route_table.h"
+#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -66,14 +67,17 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
     }
   });
   core_.SetReallocateHook([this]() -> std::shared_ptr<const RouteTable> {
-    // Controller re-allocation (§6.4): rank the observed heavy-hitter counts,
-    // refill the allocation hottest-first, and swap in the rebuilt routes. The
-    // controller acts on its *current* failure knowledge, so first re-sync its
-    // remap to the alive set as of this timestamp (the construction-time plan
-    // walk left it at the end-of-timeline state).
+    // Controller re-allocation (§6.4): rank the observed heavy-hitter counts
+    // (the refill reads only the hottest `pool`), refill the allocation
+    // hottest-first, and swap in the rebuilt routes. The controller acts on
+    // its *current* failure knowledge, so first re-sync its remap to the
+    // alive set as of this timestamp (the construction-time plan walk left it
+    // at the end-of-timeline state).
     model_.SyncControllerRemap(core_.spine_alive());
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
+    reports.push_back(core_.ObservedCounts());
     std::vector<uint64_t> hottest;
-    for (const auto& [key, count] : core_.ObservedCounts()) {
+    for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
       hottest.push_back(key);
     }
     model_.ReallocateCache(hottest);

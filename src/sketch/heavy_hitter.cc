@@ -24,36 +24,62 @@ bool Hotter(const std::pair<uint64_t, Count>& a, const std::pair<uint64_t, Count
 std::vector<std::pair<uint64_t, uint64_t>> MergeHeavyHitterReports(
     const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
     size_t limit) {
-  // Sort-based merge: gather every (key, count), sort by key, sum each run.
+  using Report = std::pair<uint64_t, uint32_t>;
+  const auto key_less = [](const Report& a, const Report& b) {
+    return a.first < b.first;
+  };
+  // One key-ordered run per non-empty list: a list already in key order is
+  // read in place, any other is merged from a sorted copy.
+  struct Run {
+    const Report* at;
+    const Report* end;
+  };
+  std::vector<std::vector<Report>> sorted_copies;
+  sorted_copies.reserve(reports.size());  // runs point into the copies
+  std::vector<Run> runs;
   size_t total = 0;
   for (const auto& list : reports) {
+    if (list.empty()) {
+      continue;
+    }
     total += list.size();
+    const std::vector<Report>* run = &list;
+    if (!std::is_sorted(list.begin(), list.end(), key_less)) {
+      run = &sorted_copies.emplace_back(list);
+      std::sort(sorted_copies.back().begin(), sorted_copies.back().end(), key_less);
+    }
+    runs.push_back({run->data(), run->data() + run->size()});
   }
+  // k-way merge over a min-heap of run heads; equal keys arrive adjacent and
+  // sum into one entry.
+  const auto later = [](const Run& a, const Run& b) {
+    return a.at->first > b.at->first;
+  };
+  std::make_heap(runs.begin(), runs.end(), later);
   std::vector<std::pair<uint64_t, uint64_t>> out;
   out.reserve(total);
-  for (const auto& list : reports) {
-    for (const auto& [key, count] : list) {
-      out.emplace_back(key, count);
+  while (!runs.empty()) {
+    std::pop_heap(runs.begin(), runs.end(), later);
+    Run& run = runs.back();
+    if (!out.empty() && out.back().first == run.at->first) {
+      out.back().second += run.at->second;
+    } else {
+      out.emplace_back(run.at->first, run.at->second);
+    }
+    if (++run.at == run.end) {
+      runs.pop_back();
+    } else {
+      std::push_heap(runs.begin(), runs.end(), later);
     }
   }
-  std::sort(out.begin(), out.end());
-  size_t merged = 0;
-  for (size_t i = 0; i < out.size(); ++merged) {
-    const uint64_t key = out[i].first;
-    uint64_t sum = 0;
-    for (; i < out.size() && out[i].first == key; ++i) {
-      sum += out[i].second;
-    }
-    out[merged] = {key, sum};
-  }
-  out.resize(merged);
+  // Hotter is a total order on distinct keys, so selecting the hottest
+  // `limit` and sorting only them gives the full ranking's prefix.
   if (limit < out.size()) {
-    std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(limit),
-                      out.end(), Hotter<uint64_t>);
+    std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(limit),
+                     out.end(), Hotter<uint64_t>);
     out.resize(limit);
-  } else {
-    std::sort(out.begin(), out.end(), Hotter<uint64_t>);
   }
+  std::sort(out.begin(), out.end(), Hotter<uint64_t>);
   return out;
 }
 
@@ -94,7 +120,7 @@ bool HeavyHitterDetector::Record(const Staged& staged) {
   return true;
 }
 
-std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() const {
+std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::Reports() const {
   std::vector<std::pair<uint64_t, uint32_t>> out;
   out.reserve(num_reports_);
   for (const ReportSlot& slot : slots_) {
@@ -102,7 +128,18 @@ std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() con
       out.emplace_back(slot.key, slot.count);
     }
   }
+  return out;
+}
+
+std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::TopReports() const {
+  auto out = Reports();
   std::sort(out.begin(), out.end(), Hotter<uint32_t>);
+  return out;
+}
+
+std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::ReportsByKey() const {
+  auto out = Reports();
+  std::sort(out.begin(), out.end());  // keys are distinct: key order
   return out;
 }
 

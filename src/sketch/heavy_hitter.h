@@ -28,9 +28,11 @@ namespace distcache {
 // (or simulation shard) reports its local top keys and the controller re-allocates
 // from the merged ranking (§4.1, §6.4).
 //
-// `limit` keeps only the hottest `limit` keys: every key is still summed, but only
-// that prefix is ordered — the re-allocation reads no further than the candidate
-// pool. The prefix equals the first `limit` entries of the full merge.
+// Lists may come in any order; lists already in key order (ReportsByKey) are
+// merged as they are, in one k-way pass, and any other list is first sorted by
+// key. `limit` keeps only the hottest `limit` keys: every key is still summed,
+// but only that prefix is ordered — the re-allocation reads no further than the
+// candidate pool. The prefix equals the first `limit` entries of the full merge.
 std::vector<std::pair<uint64_t, uint64_t>> MergeHeavyHitterReports(
     const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
     size_t limit = std::numeric_limits<size_t>::max());
@@ -79,6 +81,9 @@ class HeavyHitterDetector {
 
   // Keys reported this epoch, hottest-first by sketch estimate (ties: smaller key).
   std::vector<std::pair<uint64_t, uint32_t>> TopReports() const;
+  // The same reports in ascending key order — the order MergeHeavyHitterReports
+  // merges without sorting.
+  std::vector<std::pair<uint64_t, uint32_t>> ReportsByKey() const;
 
   // Clears sketch, bloom filter and report list. Called by the agent every second.
   void NewEpoch();
@@ -96,6 +101,8 @@ class HeavyHitterDetector {
 
   // `key`'s slot, or the free slot that ends its probe run from `home`.
   ReportSlot& FindSlot(uint64_t key, size_t home);
+  // The reported (key, estimate) pairs in table order.
+  std::vector<std::pair<uint64_t, uint32_t>> Reports() const;
 
   Config config_;
   CountMinSketch sketch_;

@@ -153,5 +153,53 @@ TEST(CappedZipfPmf, InfeasibleCapReturnsUniform) {
   }
 }
 
+TEST(DiscreteDistribution, CdfIsMonotoneAndTopMassAtMostOne) {
+  // This 29-key pmf accumulates an interior cdf entry a rounding step past
+  // 1.0 (1.0000000000000002) unless the entries are clamped.
+  std::vector<double> pmf(29);
+  for (size_t i = 0; i < pmf.size(); ++i) {
+    pmf[i] = i % 3 == 1 ? 0.0 : 1.0 + static_cast<double>(i % 5);
+  }
+  const DiscreteDistribution d(pmf);
+  for (uint64_t k = 1; k <= pmf.size() + 1; ++k) {
+    EXPECT_GE(d.TopMass(k), d.TopMass(k - 1)) << "k " << k;
+    EXPECT_LE(d.TopMass(k), 1.0) << "k " << k;
+  }
+}
+
+TEST(DiscreteDistribution, ClampingSelectsTheSameIndices) {
+  // Against the unclamped running sums: every draw below 1 picks the same
+  // index, and SelectsLast the same answer, whether or not an entry was
+  // clamped.
+  for (size_t n = 1; n <= 70; ++n) {
+    std::vector<double> pmf(n);
+    for (size_t i = 0; i < n; ++i) {
+      pmf[i] = i % 3 == 1 ? 0.0 : 1.0 + static_cast<double>(i % 5);
+    }
+    const DiscreteDistribution d(pmf);
+    double sum = 0.0;
+    for (const double p : pmf) {
+      sum += p;
+    }
+    std::vector<double> unclamped(n);
+    double acc = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      acc += pmf[i] / sum;
+      unclamped[i] = acc;
+    }
+    unclamped.back() = 1.0;
+    for (int step = 0; step < 4096; ++step) {
+      const double u = static_cast<double>(step) / 4096.0;
+      for (const double draw : {u, std::nextafter(1.0, 0.0)}) {
+        const uint64_t want = static_cast<uint64_t>(
+            std::lower_bound(unclamped.begin(), unclamped.end(), draw) -
+            unclamped.begin());
+        ASSERT_EQ(d.IndexOf(draw), want) << "n " << n << " u " << draw;
+        ASSERT_EQ(d.SelectsLast(draw), want == n - 1) << "n " << n << " u " << draw;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace distcache

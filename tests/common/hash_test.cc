@@ -5,6 +5,8 @@
 #include <set>
 #include <vector>
 
+#include "common/random.h"
+
 namespace distcache {
 namespace {
 
@@ -127,6 +129,46 @@ TEST(HashFamily, SameSeedSameFamily) {
   for (uint64_t k = 0; k < 50; ++k) {
     EXPECT_EQ(a.Hash(0, k), b.Hash(0, k));
     EXPECT_EQ(a.Hash(1, k), b.Hash(1, k));
+  }
+}
+
+// The byte-wise definition: the XOR of one table word per key byte, over all
+// eight bytes, with the tables drawn the way the constructor draws them.
+uint64_t ReferenceTabulation(uint64_t seed, uint64_t key) {
+  Rng rng(Mix64(seed ^ 0x7ab1e5eedULL));
+  uint64_t table[8][256];
+  for (auto& row : table) {
+    for (auto& cell : row) {
+      cell = rng.Next();
+    }
+  }
+  uint64_t h = 0;
+  for (int i = 0; i < 8; ++i) {
+    h ^= table[i][static_cast<uint8_t>(key >> (8 * i))];
+  }
+  return h;
+}
+
+TEST(TabulationHash, MatchesEightByteDefinitionOnBothSidesOf2To32) {
+  // Keys below 2^32 take the four-lookup path; the rest read all eight bytes.
+  for (const uint64_t seed : {uint64_t{0}, uint64_t{7}, uint64_t{0x5eedc0de}}) {
+    const TabulationHash h(seed);
+    std::vector<uint64_t> keys = {0,
+                                  1,
+                                  (uint64_t{1} << 32) - 1,
+                                  uint64_t{1} << 32,
+                                  (uint64_t{1} << 32) + 1,
+                                  ~uint64_t{0}};
+    Rng rng(seed + 1);
+    for (int i = 0; i < 200; ++i) {
+      keys.push_back(rng.Next());
+      keys.push_back(rng.Next() >> 32);
+      keys.push_back(rng.NextBounded(uint64_t{1} << 27));
+    }
+    for (const uint64_t key : keys) {
+      ASSERT_EQ(h(key), ReferenceTabulation(seed, key))
+          << "seed " << seed << " key " << key;
+    }
   }
 }
 

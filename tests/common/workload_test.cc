@@ -162,5 +162,19 @@ TEST(BuildPopularityVector, UniformHead) {
   EXPECT_NEAR(pv.tail_mass, 0.99, 1e-9);
 }
 
+TEST(KeyOfRank, MatchesModuloRotation) {
+  // The conditional subtract covers rank and shift both below num_keys; larger
+  // shifts keep the division. Shift 0 is the identity.
+  for (const uint64_t n : {uint64_t{1}, uint64_t{2}, uint64_t{7}, uint64_t{1000}}) {
+    for (const uint64_t shift : {uint64_t{0}, uint64_t{1}, n - 1, n, 3 * n + 5}) {
+      for (uint64_t rank = 0; rank < n; ++rank) {
+        const uint64_t want = shift == 0 ? rank : (rank + shift) % n;
+        ASSERT_EQ(KeyOfRank(rank, shift, n), want)
+            << "n " << n << " shift " << shift << " rank " << rank;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace distcache

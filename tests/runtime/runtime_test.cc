@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "common/workload.h"
@@ -88,6 +89,13 @@ TEST(Runtime, ReplicationWritesTouchAllSpines) {
   rt.Start();
   auto client = rt.NewClient(6);
   ASSERT_TRUE(client->Put(0, "r").ok());  // key 0 replicated in both spines + leaf
+  // Put returns once the invalidations are acked; the phase-2 cache updates
+  // are still in flight, and Stop() would race the switches applying them.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (rt.counters().cache_updates.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   rt.Stop();
   EXPECT_GE(rt.counters().invalidations.load(), 3u);
   EXPECT_GE(rt.counters().cache_updates.load(), 3u);

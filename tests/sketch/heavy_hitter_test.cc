@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <unordered_map>
 
@@ -296,6 +297,79 @@ TEST(MergeHeavyHitterReports, PrefixEqualsFullMergePrefix) {
 TEST(HeavyHitterDetector, MemoryBitsCombineSketchAndBloom) {
   HeavyHitterDetector hh(SmallConfig());
   EXPECT_EQ(hh.MemoryBits(), 4u * 4096u * 16u + 3u * 16384u);
+}
+
+TEST(HeavyHitterDetector, ReportsByKeyIsTopReportsInKeyOrder) {
+  HeavyHitterDetector::Config cfg = SmallConfig(2);
+  cfg.max_reports_per_epoch = 300;
+  HeavyHitterDetector hh(cfg);
+  ZipfDistribution dist(20000, 0.9);
+  Rng rng(31);
+  for (int i = 0; i < 20000; ++i) {
+    hh.Record(dist.Sample(rng));
+  }
+  const auto by_key = hh.ReportsByKey();
+  ASSERT_FALSE(by_key.empty());
+  EXPECT_TRUE(std::is_sorted(by_key.begin(), by_key.end(),
+                             [](const auto& a, const auto& b) { return a.first < b.first; }));
+  auto top = hh.TopReports();
+  std::sort(top.begin(), top.end());
+  EXPECT_EQ(by_key, top);
+}
+
+TEST(MergeHeavyHitterReports, KeyOrderedAndShuffledListsMatchReference) {
+  // Each trial merges the same reports twice: as key-ordered lists (read in
+  // place) and with every list shuffled (sorted first). Keys shared across
+  // lists and small counts make sums collide and ties common; empty lists and
+  // single lists occur.
+  Rng rng(123);
+  for (int trial = 0; trial < 60; ++trial) {
+    const uint64_t pool = 1 + rng.NextBounded(200);
+    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> ordered(
+        1 + rng.NextBounded(6));
+    for (auto& list : ordered) {
+      const uint64_t len = rng.NextBounded(4) == 0 ? 0 : rng.NextBounded(2 * pool + 1);
+      std::map<uint64_t, uint32_t> unique;
+      for (uint64_t i = 0; i < len; ++i) {
+        unique[rng.NextBounded(3 * pool)] = static_cast<uint32_t>(2 + rng.NextBounded(3));
+      }
+      list.assign(unique.begin(), unique.end());  // key order
+    }
+    auto shuffled = ordered;
+    for (auto& list : shuffled) {
+      for (size_t i = list.size(); i > 1; --i) {
+        std::swap(list[i - 1], list[rng.NextBounded(i)]);
+      }
+    }
+    const auto reference = ReferenceMerge(ordered);
+    for (const size_t limit :
+         {size_t{0}, size_t{1}, static_cast<size_t>(pool), reference.size(),
+          reference.size() + 3, std::numeric_limits<size_t>::max()}) {
+      const size_t kept = std::min(limit, reference.size());
+      const std::vector<std::pair<uint64_t, uint64_t>> want(
+          reference.begin(), reference.begin() + static_cast<std::ptrdiff_t>(kept));
+      ASSERT_EQ(MergeHeavyHitterReports(ordered, limit), want)
+          << "trial " << trial << " limit " << limit;
+      ASSERT_EQ(MergeHeavyHitterReports(shuffled, limit), want)
+          << "trial " << trial << " limit " << limit;
+    }
+  }
+}
+
+TEST(MergeHeavyHitterReports, EmptyAndSingleInputs) {
+  EXPECT_TRUE(MergeHeavyHitterReports({}).empty());
+  EXPECT_TRUE(MergeHeavyHitterReports({{}, {}, {}}, 5).empty());
+  // One list, no limit: its counts ranked hottest-first, ties on the key.
+  const std::vector<std::vector<std::pair<uint64_t, uint32_t>>> single = {
+      {{3, 5}, {8, 9}, {10, 5}, {12, 2}}};
+  const std::vector<std::pair<uint64_t, uint64_t>> want = {
+      {8, 9}, {3, 5}, {10, 5}, {12, 2}};
+  EXPECT_EQ(MergeHeavyHitterReports(single), want);
+  EXPECT_EQ(MergeHeavyHitterReports(single, 2),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{8, 9}, {3, 5}}));
+  // A key repeated inside one unordered list still sums.
+  EXPECT_EQ(MergeHeavyHitterReports({{{4, 1}, {2, 3}, {4, 6}}, {}}),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{4, 7}, {2, 3}}));
 }
 
 }  // namespace
