@@ -21,7 +21,6 @@
 #include "runtime/shm_arena.h"
 #include "runtime/shm_ring.h"
 #include "runtime/spsc_ring.h"
-#include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 #include "sketch/lru_map.h"
 
@@ -64,15 +63,6 @@ void BM_CountMinUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMinUpdate);
 
-void BM_BloomInsertAndTest(benchmark::State& state) {
-  BloomFilter bf(BloomFilter::Config{});
-  Rng rng(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bf.InsertAndTest(rng.NextBounded(1 << 20)));
-  }
-}
-BENCHMARK(BM_BloomInsertAndTest);
-
 void BM_LruPut(benchmark::State& state) {
   LruMap<uint64_t, uint64_t> lru(1024);
   Rng rng(3);
@@ -104,10 +94,7 @@ void BM_KvStoreGet(benchmark::State& state) {
 BENCHMARK(BM_KvStoreGet);
 
 void BM_CacheSwitchLookupHit(benchmark::State& state) {
-  CacheSwitch::Config cfg;
-  cfg.hh.sketch.width = 1024;
-  cfg.hh.bloom.bits = 4096;
-  CacheSwitch sw(cfg);
+  CacheSwitch sw(CacheSwitch::Config{});
   for (uint64_t k = 0; k < 100; ++k) {
     sw.InsertInvalid(k, 16).ok();
     sw.UpdateValue(k, "0123456789abcdef").ok();

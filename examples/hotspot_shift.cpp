@@ -7,9 +7,9 @@
 //
 //   $ ./examples/hotspot_shift
 //
-// For the switch-local view of the same loop (heavy-hitter reports → agent
-// eviction/insertion on one switch), see examples/switch_caching.cpp; for the
-// three-engine parity version of this experiment, bench/bench_hotspot_shift.cc.
+// This observer + controller re-allocation is the one implementation of the
+// paper's cache update in the repo; for the three-engine parity version of this
+// experiment, see bench/bench_hotspot_shift.cc.
 #include <cstdio>
 
 #include "sim/sim_backend.h"

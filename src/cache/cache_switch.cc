@@ -1,12 +1,10 @@
 #include "cache/cache_switch.h"
 
-#include <limits>
-
 #include "kv/kv_store.h"
 
 namespace distcache {
 
-CacheSwitch::CacheSwitch(const Config& config) : config_(config), hh_(config.hh) {}
+CacheSwitch::CacheSwitch(const Config& config) : config_(config) {}
 
 LookupResult CacheSwitch::Lookup(uint64_t key, std::string* value_out) {
   auto it = entries_.find(key);
@@ -90,33 +88,11 @@ uint64_t CacheSwitch::HitCount(uint64_t key) const {
   return it == entries_.end() ? 0 : it->second.hits;
 }
 
-std::optional<uint64_t> CacheSwitch::ColdestKey() const {
-  std::optional<uint64_t> coldest;
-  uint64_t min_hits = std::numeric_limits<uint64_t>::max();
-  for (const auto& [key, entry] : entries_) {
-    if (entry.hits < min_hits || (entry.hits == min_hits && (!coldest || key < *coldest))) {
-      min_hits = entry.hits;
-      coldest = key;
-    }
-  }
-  return coldest;
-}
-
-std::vector<uint64_t> CacheSwitch::CachedKeys() const {
-  std::vector<uint64_t> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) {
-    keys.push_back(key);
-  }
-  return keys;
-}
-
 void CacheSwitch::NewEpoch() {
   telemetry_load_ = 0;
   for (auto& [key, entry] : entries_) {
     entry.hits = 0;
   }
-  hh_.NewEpoch();
 }
 
 }  // namespace distcache

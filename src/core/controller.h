@@ -1,6 +1,6 @@
 // Cache controller (§4.1, §4.4).
 //
-// The controller computes cache partitions and pushes them to switch agents. It is off
+// The controller computes cache partitions and pushes them to the switches. It is off
 // the query path entirely; it acts only on reconfiguration — adding racks/switches and
 // handling failures. On a spine-switch failure it remaps the failed switch's h0
 // partition onto the remaining alive switches with consistent hashing + virtual nodes

@@ -144,9 +144,6 @@ void DistCacheRuntime::SwitchLoop(bool spine_layer, uint32_t index) {
         } else {
           // Invalid or miss: forward to the primary server, no routing detour (§4.2).
           counters_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-          if (sw->RecordMiss(msg.key)) {
-            // A new heavy hitter was detected; the agent epoch would consider it.
-          }
           // Capture the reply route before the envelope is consumed: if the server
           // inbox closed mid-flight (Stop() race), the forward is dropped and the
           // client would otherwise block in Receive() forever — its reply channel

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <utility>
 
@@ -32,42 +31,41 @@ namespace {
 
 // Ring depths per directed shard pair. Data traffic is O(epochs + 1) messages
 // (telemetry broadcasts plus the end-of-run delta flush, chunked), same as the
-// in-process engine's 256-deep rings; control traffic is chunked heavy-hitter
-// reports plus one kDone, and its consumers drain while waiting, so a shallow
-// ring only adds retry rounds, never deadlock.
+// in-process engine's 256-deep rings; control traffic is one kDone per shard
+// incarnation, and its consumers drain while waiting, so a shallow ring only
+// adds retry rounds, never deadlock.
 constexpr size_t kDataRingCapacity = 256;
 constexpr size_t kCtrlRingCapacity = 64;
 
-// Control-plane slot payload: 256 report entries per chunk.
-constexpr size_t kCtrlPayloadBytes = 4096;
 // Floor for the data-plane payload when the topology is tiny.
 constexpr size_t kMinDataPayloadBytes = 1024;
 
-// The cross-process message set. Everything that crosses an address space is
-// one of these four POD-serialized kinds — the in-process engine's other kinds
-// do not exist here: kClusterEvent because every child queues the fired plan
-// locally, kRouteUpdate because every child runs the controller computation
-// itself (see multiproc_backend.h).
+// The cross-process ring message set. Everything that crosses an address space
+// on a ring is one of these three POD-serialized kinds — the in-process
+// engine's other kinds do not exist here: kClusterEvent because every child
+// queues the fired plan locally, kRouteUpdate and heavy-hitter reports because
+// the re-allocation rendezvous goes through the arena (see
+// multiproc_backend.h). A control-ring slot is one bare header (kDone).
 enum WireKind : uint8_t {
   kWireTelemetry = 0,  // dense own-contribution partials, one slot
   kWireDeltas = 1,     // end-of-run load deltas, chunked
-  kWireReport = 2,     // heavy-hitter report, chunked, `last` terminates
-  kWireDone = 3,       // end-of-stream marker
+  kWireDone = 2,       // end-of-stream marker
 };
 
 struct WireHeader {
   uint8_t kind;
-  uint8_t last;      // kWireReport: final chunk of this report
+  uint8_t pad8;
   uint16_t pad16;
   uint32_t from;     // sender shard
-  uint32_t count_a;  // telemetry: #partials; deltas: #cache; report: #pairs
+  uint32_t count_a;  // telemetry: #partials; deltas: #cache
   uint32_t count_b;  // deltas: #server entries
 };
 static_assert(sizeof(WireHeader) == 16, "wire header layout");
 
-// Fixed 16-byte entry for both delta kinds ({flat-or-server index, delta}) and
-// report pairs ({key, count}); everything moves through memcpy, so slot
-// alignment is a non-issue and no object is ever aliased across the arena.
+// Fixed 16-byte entry for the delta messages ({flat-or-server index, delta})
+// and the arena report slots ({key, count}); everything moves through memcpy,
+// so slot alignment is a non-issue and no object is ever aliased across the
+// arena.
 struct DeltaEntry {
   uint64_t index;
   double delta;
@@ -126,7 +124,7 @@ static_assert(sizeof(ShmControlBlock) == kCacheLineSize &&
 
 void WritePod(void* slot, const void* src, size_t bytes, size_t offset = 0) {
   if (bytes == 0) {
-    return;  // an empty report chunk carries data() == nullptr; memcpy forbids it
+    return;  // an empty array carries data() == nullptr; memcpy forbids it
   }
   std::memcpy(static_cast<uint8_t*>(slot) + offset, src, bytes);
 }
@@ -228,20 +226,11 @@ struct alignas(kCacheLineSize) MultiprocBackend::Proc {
   const TwoLevelSampler* two_level = nullptr;
   std::unique_ptr<TwoLevelSampler> phase_two_level;
 
-  // Heavy-hitter report reassembly: chunks accumulate per sender (SPSC rings
-  // are FIFO per sender, so chunks of one report are contiguous), completed
-  // reports queue per sender so multiple kReallocateCache steps stay paired
-  // with the right rendezvous.
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> partial_report;
-  std::vector<std::deque<std::vector<std::pair<uint64_t, uint32_t>>>>
-      ready_reports;
-
   // Flush / deserialize scratch.
   std::vector<std::vector<std::pair<uint32_t, double>>> out_cache;
   std::vector<std::vector<std::pair<uint32_t, double>>> out_server;
   std::vector<double> telemetry_scratch;
   std::vector<DeltaEntry> delta_scratch;
-  std::vector<ReportEntry> report_scratch;
 
   double quota_scale = 1.0;
   bool abort_seen = false;
@@ -326,7 +315,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
   // A full telemetry snapshot (one double per cache node) must fit one slot.
   data_slot_bytes_ =
       sizeof(WireHeader) + std::max(nodes * sizeof(double), kMinDataPayloadBytes);
-  ctrl_slot_bytes_ = sizeof(WireHeader) + kCtrlPayloadBytes;
+  ctrl_slot_bytes_ = sizeof(WireHeader);
   const uint64_t max_points =
       config_.sample_interval == 0 ? 0
                                    : num_requests / config_.sample_interval + 4;
@@ -369,15 +358,13 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
         layout.Reserve(SerializedTableBytes(fired_plan_[i].routes.get()));
   }
 
-  // Single-controller realloc rendezvous (static policies only; dynamic
-  // policies keep the legacy all-to-all — see multiproc_backend.h). Runtime
+  // Single-controller realloc rendezvous (see multiproc_backend.h). Runtime
   // tables cannot be pre-sized exactly, so the regions are worst-case: a
   // report slot holds the observer's max_reports_per_epoch (taken from the
   // observer's own config, 2·pool) and a table slot the dense pool with every
   // entry spilled to overflow. That is not small: on the paper-default cluster
   // (pool 51200) each report slot holds 102400 16-byte entries, 1.6 MB per
   // shard and re-allocation step.
-  arena_realloc_ = !PolicyIsDynamic(config_.cluster.cache_policy);
   realloc_step_index_.clear();
   report_offset_.clear();
   realloc_ready_offset_.clear();
@@ -388,7 +375,7 @@ bool MultiprocBackend::LayoutAndMapArena(uint64_t num_requests) {
       realloc_step_index_.push_back(i);
     }
   }
-  if (arena_realloc_ && !realloc_step_index_.empty()) {
+  if (!realloc_step_index_.empty()) {
     report_entry_cap_ = EngineCore::ObserverConfig(model_.pool).max_reports_per_epoch;
     table_cap_bytes_ =
         sizeof(ArenaTableHeader) +
@@ -706,54 +693,12 @@ void MultiprocBackend::SendLoadDeltas(
   }
 }
 
-void MultiprocBackend::BroadcastHotReport(
-    Proc& p, const std::vector<std::pair<uint64_t, uint32_t>>& report) {
-  const uint32_t n = shard_map_.shards();
-  const size_t max_entries =
-      (ctrl_slot_bytes_ - sizeof(WireHeader)) / sizeof(ReportEntry);
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id || ShardDead(peer)) {
-      continue;
-    }
-    size_t i = 0;
-    do {  // at least one chunk, so an empty report still carries `last`
-      const size_t k = std::min(report.size() - i, max_entries);
-      void* slot = AcquireSlot(p, p.ctrl_out[peer], peer);
-      if (slot == nullptr) {
-        if (p.abort_seen) {
-          return;
-        }
-        break;  // peer died while we waited; skip its remaining chunks
-      }
-      const uint8_t last = i + k == report.size() ? 1 : 0;
-      const WireHeader h{kWireReport, last, 0, p.id,
-                         static_cast<uint32_t>(k), 0};
-      WritePod(slot, &h, sizeof(h));
-      p.report_scratch.clear();
-      for (size_t e = 0; e < k; ++e) {
-        p.report_scratch.push_back(
-            {report[i + e].first, report[i + e].second});
-      }
-      WritePod(slot, p.report_scratch.data(),
-               p.report_scratch.size() * sizeof(ReportEntry), sizeof(h));
-      if (__builtin_expect(p.ctrl_delay_ms != 0, 0)) {
-        // Armed kDelayControl: this control publish is late by `param` ms.
-        p.ctrl_out[peer].ArmDelayNext(p.ctrl_delay_ms);
-        p.ctrl_delay_ms = 0;
-      }
-      p.ctrl_out[peer].Publish();
-      ++p.local.cross_shard_messages;  // control traffic: not a ring_message
-      i += k;
-    } while (i < report.size());
-  }
-}
-
 void MultiprocBackend::SendDone(Proc& p, uint32_t peer) {
   void* slot = AcquireSlot(p, p.ctrl_out[peer], peer);
   if (slot == nullptr) {
     return;  // aborted, or the peer is dead and will never consume it
   }
-  const WireHeader h{kWireDone, 1, 0, p.id, 0, 0};
+  const WireHeader h{kWireDone, 0, 0, p.id, 0, 0};
   WritePod(slot, &h, sizeof(h));
   if (__builtin_expect(p.ctrl_delay_ms != 0, 0)) {
     p.ctrl_out[peer].ArmDelayNext(p.ctrl_delay_ms);
@@ -830,27 +775,9 @@ void MultiprocBackend::DrainControlRings(Proc& p) {
     }
     ShmSpscRing& ring = p.ctrl_in[peer];
     while (const void* slot = ring.Front()) {
-      WireHeader h;
+      WireHeader h;  // every control message is a kDone
       std::memcpy(&h, slot, sizeof(h));
-      if (h.kind == kWireDone) {
-        p.done_ring[h.from] = 1;
-      } else {  // kWireReport chunk
-        const uint8_t* payload = static_cast<const uint8_t*>(slot) + sizeof(h);
-        p.report_scratch.resize(h.count_a);
-        if (h.count_a != 0) {
-          std::memcpy(p.report_scratch.data(), payload,
-                      h.count_a * sizeof(ReportEntry));
-        }
-        auto& partial = p.partial_report[peer];
-        for (uint32_t i = 0; i < h.count_a; ++i) {
-          partial.emplace_back(p.report_scratch[i].key,
-                               static_cast<uint32_t>(p.report_scratch[i].count));
-        }
-        if (h.last) {
-          p.ready_reports[peer].push_back(std::move(partial));
-          partial.clear();
-        }
-      }
+      p.done_ring[h.from] = 1;
       ring.Pop();
     }
   }
@@ -913,63 +840,6 @@ void MultiprocBackend::FlushLoads(Proc& p) {
     p.out_cache[peer].clear();
     p.out_server[peer].clear();
   }
-}
-
-std::shared_ptr<const RouteTable> MultiprocBackend::Reallocate(Proc& p) {
-  const uint32_t n = shard_map_.shards();
-  // All-to-all rendezvous: broadcast our observed counts, then collect one
-  // report per peer (FIFO per sender pairs the k-th report with the k-th
-  // rendezvous). Peers are guaranteed to reach the same step (it precedes
-  // their quota), so only a dead peer can keep us waiting — and that trips
-  // the abort flag.
-  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
-  reports.push_back(p.core.ObservedCounts());
-  BroadcastHotReport(p, reports.front());
-  for (uint32_t peer = 0; peer < n; ++peer) {
-    if (peer == p.id) {
-      continue;
-    }
-    Backoff backoff;
-    while (p.ready_reports[peer].empty()) {
-      DrainDataRings(p);
-      DrainControlRings(p);
-      if (!p.ready_reports[peer].empty()) {
-        break;
-      }
-      if (Aborted()) {
-        p.abort_seen = true;
-        return nullptr;  // keep current routes; we are winding down
-      }
-      if (ShardDead(peer)) {
-        break;  // died before (or mid-)report; the drains above got what exists
-      }
-      PulseHeartbeat(p);
-      backoff.Pause();
-    }
-    if (p.ready_reports[peer].empty()) {
-      reports.push_back({});  // dead peer: its sample is simply absent
-      continue;
-    }
-    reports.push_back(std::move(p.ready_reports[peer].front()));
-    p.ready_reports[peer].pop_front();
-  }
-  // Every process runs the controller computation on its own model copy.
-  // MergeHeavyHitterReports is order-independent and the refill/route build
-  // is hash-based and RNG-free, so all processes arrive at identical routes —
-  // and at x1 this is literally the in-process controller's code path.
-  ApplyReallocModel(p, reports);
-  auto routes = std::make_shared<const RouteTable>(
-      BuildRouteTable(model_, p.core.hot_shift()));
-  const std::vector<std::shared_ptr<const RouteTable>> suffix =
-      RebuildPlanSuffixRoutes(fired_plan_, p.core.next_action_index(), model_,
-                              p.core.spine_alive(), p.core.hot_shift());
-  const size_t from = p.core.next_action_index();
-  for (size_t i = 0; i < suffix.size(); ++i) {
-    if (suffix[i] != nullptr) {
-      p.core.SetActionRoutes(from + i, suffix[i]);
-    }
-  }
-  return routes;
 }
 
 std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
@@ -1285,8 +1155,6 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   p.own_cache.assign(num_cache_nodes, 0.0);
   p.own_server.assign(model_.num_servers(), 0.0);
   p.last_partial.assign(n, std::vector<double>(num_cache_nodes, 0.0));
-  p.partial_report.assign(n, {});
-  p.ready_reports.assign(n, {});
   p.out_cache.assign(n, {});
   p.out_server.assign(n, {});
   p.done_ring.assign(n, 0);
@@ -1339,9 +1207,7 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
           p.sampler = p.phase_sampler.get();
         }
       });
-  p.core.SetReallocateHook([this, &p] {
-    return arena_realloc_ ? ReallocateViaArena(p) : Reallocate(p);
-  });
+  p.core.SetReallocateHook([this, &p] { return ReallocateViaArena(p); });
 
   // The timeline plan is a pure function of the config, so every child queues
   // it locally — no controller multicast to wait on. Action construction
@@ -1435,9 +1301,8 @@ void MultiprocBackend::RunShard(Proc& p, uint64_t quota,
   // Memory accounting (max-merged, sim_backend.h): the base table and every
   // plan snapshot are arena-resident (counted once, in the supervisor's
   // arena_bytes stamp), so a child's private route-table footprint is zero —
-  // the figure the memwall gate banks on. Tables a runtime re-allocation
-  // builds on the legacy path are uncounted (same rule as
-  // PlanRouteTableBytes).
+  // the figure the memwall gate banks on; runtime re-allocation tables are
+  // arena-resident too.
   p.local.peak_rss_bytes = CurrentPeakRssBytes();
   p.local.route_table_bytes = 0;
   p.local.sampler_bytes = p.two_level != nullptr ? p.two_level->bytes()

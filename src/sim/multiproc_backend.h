@@ -76,8 +76,9 @@
 //   * data plane — one ShmSpscRing per directed shard pair carries telemetry
 //     partials and end-of-run load deltas, serialized into fixed slots sized
 //     so a full telemetry snapshot fits one slot;
-//   * control plane — a second, smaller ShmSpscRing per directed pair carries
-//     chunked heavy-hitter reports and kDone markers.
+//   * control plane — a second ShmSpscRing per directed pair, with 16-byte
+//     header-only slots, carries the kDone markers of the termination
+//     protocol.
 //
 // Control-plane divergences from the in-process engine (equivalent by
 // construction, pinned by the x1 bit-identity goldens):
@@ -86,17 +87,17 @@
 //     so every child queues it locally instead of receiving it from the
 //     controller shard;
 //   * the kReallocateCache rendezvous goes through the arena, single-
-//     controller with deterministic failover: every shard publishes its
-//     heavy-hitter report, in key order, into an idempotent per-(step,
-//     shard) arena slot sized by the observer's report cap (a longer report
-//     aborts the shard rather than lose its largest keys), then the
-//     lowest-indexed *live* shard claims a per-step controller word
-//     (CAS; value = claimant + 1), merges the published key-ordered reports
-//     in one k-way pass (a shard that died before publishing is excluded; the
-//     merged-shard mask rides in the ready word), runs the controller
-//     computation and serializes the rebuilt
-//     immediate + suffix tables into the step's arena region behind the ready
-//     flag; every shard then installs them as views. If the claimant dies
+//     controller with deterministic failover, for every cache policy: every
+//     shard publishes its heavy-hitter report, in key order, into an
+//     idempotent per-(step, shard) arena slot sized by the observer's report
+//     cap (a longer report aborts the shard rather than lose its largest
+//     keys), then the lowest-indexed *live* shard claims a per-step
+//     controller word (CAS; value = claimant + 1), merges the published
+//     key-ordered reports in one k-way pass (a shard that died before
+//     publishing is excluded; the merged-shard mask rides in the ready word),
+//     runs the controller computation and serializes the rebuilt immediate +
+//     suffix tables into the step's arena region behind the ready flag;
+//     every shard then installs them as views. If the claimant dies
 //     before publishing (kShardDead is only set after the process is reaped,
 //     so its writes have stopped), waiters CAS the claim over to the next
 //     live shard by index, which recomputes and publishes — the
@@ -106,12 +107,10 @@
 //     enough to take over a *later* rendezvous too. The report slots are
 //     write-once per incarnation and the computation is deterministic, so a
 //     respawned shard — even a respawned controller — re-publishes identical
-//     bytes and the rendezvous stays consistent.
-//     Dynamic cache policies keep the legacy all-to-all broadcast where every
-//     process runs the controller computation on its own model copy (their
-//     policy runtimes read the local allocation, which must stay in sync);
-//     MergeHeavyHitterReports is order-independent and the refill/route-build
-//     is hash-based and RNG-free, so both schemes compute identical routes.
+//     bytes and the rendezvous stays consistent. Dynamic cache policies need
+//     nothing more: their policy runtimes read only the hash partition and
+//     the layer config (core/cache_policy.h), neither of which a refill
+//     changes.
 //
 // Termination and crash isolation: a child that finishes its quota flushes
 // deltas, publishes kDone to every peer (the ring release orders the earlier
@@ -188,8 +187,6 @@ class MultiprocBackend : public SimBackend {
   void SendLoadDeltas(Proc& p, uint32_t peer,
                       const std::vector<std::pair<uint32_t, double>>& cache,
                       const std::vector<std::pair<uint32_t, double>>& server);
-  void BroadcastHotReport(
-      Proc& p, const std::vector<std::pair<uint64_t, uint32_t>>& report);
   void SendDone(Proc& p, uint32_t peer);
   // Fault-injection hook (runtime/fault_plan.h): fires every planned fault of
   // this shard whose local timestamp has been reached; one-shot per event via
@@ -205,11 +202,7 @@ class MultiprocBackend : public SimBackend {
   // Lowest-indexed shard not declared dead — the deterministic controller
   // (and controller-successor) choice for the realloc rendezvous.
   uint32_t FirstLiveShard() const;
-  // kReallocateCache, legacy all-to-all flavor (dynamic policies only): every
-  // process collects the reports and runs the controller computation. Null on
-  // abort.
-  std::shared_ptr<const RouteTable> Reallocate(Proc& p);
-  // kReallocateCache, arena flavor (header comment): publish report → the
+  // kReallocateCache (header comment): publish report → the
   // first live shard claims controllership, computes and publishes the tables
   // (failover CAS if the claimant dies) → everyone applies the masked-report
   // model mutations and installs views. Always returns null (the views are
@@ -237,8 +230,8 @@ class MultiprocBackend : public SimBackend {
 
   // ---- supervisor side -----------------------------------------------------
   // Computes the arena layout for `shards` and this run's series bound —
-  // rings, stats regions, the serialized plan tables and (static policies
-  // with realloc steps) the realloc rendezvous slots — and maps it; false
+  // rings, stats regions, the serialized plan tables and (with realloc
+  // steps) the realloc rendezvous slots — and maps it; false
   // when the mapping fails.
   bool LayoutAndMapArena(uint64_t num_requests);
   // Serializes the base route table and every fired-plan snapshot into the
@@ -273,10 +266,9 @@ class MultiprocBackend : public SimBackend {
   // Arena-resident plan: serialized-table offsets — [0] the base table,
   // [1 + i] fired_plan_[i]'s snapshot (null steps carry a sentinel header).
   std::vector<size_t> plan_table_offset_;
-  // Single-controller realloc rendezvous (arena_realloc_ set for static
-  // policies): per fired kReallocateCache step, one report slot per shard and
-  // one ready-flag + published-tables region sized for the worst case.
-  bool arena_realloc_ = false;
+  // Single-controller realloc rendezvous: per fired kReallocateCache step,
+  // one report slot per shard and one ready-flag + published-tables region
+  // sized for the worst case.
   size_t report_entry_cap_ = 0;        // entries per report slot
   size_t table_cap_bytes_ = 0;         // capacity of one published table
   std::vector<uint32_t> realloc_step_index_;    // fired_plan_ index per step

@@ -56,7 +56,8 @@ class CountMinSketch {
   // Point-query estimate of the count of `key` (an overestimate in expectation).
   uint32_t Estimate(uint64_t key) const;
 
-  // Zeroes all counters. The switch agent does this every second (§5).
+  // Zeroes all counters: the start of a new epoch (every second on the switch, §5;
+  // every recording window in the engines' observer).
   void Reset();
 
   size_t rows() const { return config_.rows; }

@@ -86,7 +86,6 @@ std::vector<std::pair<uint64_t, uint64_t>> MergeHeavyHitterReports(
 HeavyHitterDetector::HeavyHitterDetector(const Config& config)
     : config_(config),
       sketch_(config.sketch),
-      bloom_(config.bloom),
       slots_(std::bit_ceil(config.max_reports_per_epoch +
                            config.max_reports_per_epoch / 4 + 1)),
       slot_mask_(slots_.size() - 1) {}
@@ -145,7 +144,6 @@ std::vector<std::pair<uint64_t, uint32_t>> HeavyHitterDetector::ReportsByKey() c
 
 void HeavyHitterDetector::NewEpoch() {
   sketch_.Reset();
-  bloom_.Reset();
   if (num_reports_ != 0) {
     std::fill(slots_.begin(), slots_.end(), ReportSlot{});
     num_reports_ = 0;

@@ -1,8 +1,9 @@
 // NetCache-style heavy-hitter (HH) detector: Count-Min sketch for frequency estimates
-// of uncached keys + a small top-k report table, plus the Bloom filter the data plane
-// dedupes its reports to the switch CPU with. The switch local agent uses the reports
-// to decide cache insertions/evictions (§4.3, §5); the simulation engines use the
-// table alone as the controller's observer (§6.4).
+// of uncached keys + a small report table. The simulation engines use it as the
+// controller's observer (§4.1, §6.4): every shard reports its table and the
+// controller re-allocates from the merged ranking. The data plane's register
+// version of this detector, Bloom report dedupe included, is modelled in
+// dataplane/cache_program.h.
 //
 // Counters are reset every epoch (1 second in the paper). A key is reported as a heavy
 // hitter when its estimated count within the epoch crosses `report_threshold`.
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 
 namespace distcache {
@@ -41,7 +41,6 @@ class HeavyHitterDetector {
  public:
   struct Config {
     CountMinSketch::Config sketch;
-    BloomFilter::Config bloom;
     uint32_t report_threshold = 64;  // epoch-relative heaviness cutoff
     size_t max_reports_per_epoch = 1024;
   };
@@ -73,23 +72,18 @@ class HeavyHitterDetector {
   bool Record(const Staged& staged);
   bool Record(uint64_t key) { return Record(Stage(key)); }
 
-  // The data-plane report dedupe (§5): inserts `key` into the Bloom filter and returns
-  // true unless all its bits were already set. The switch runs it on each key Record()
-  // admits, so its reports carry the hardware filter's false positives; the software
-  // controller path never touches the filter.
-  bool FilterReport(uint64_t key) { return !bloom_.InsertAndTest(key); }
-
   // Keys reported this epoch, hottest-first by sketch estimate (ties: smaller key).
+  // The engines merge ReportsByKey instead; the benchmark's layer replay
+  // (perfbench/layers.cc) still times this call.
   std::vector<std::pair<uint64_t, uint32_t>> TopReports() const;
   // The same reports in ascending key order — the order MergeHeavyHitterReports
   // merges without sorting.
   std::vector<std::pair<uint64_t, uint32_t>> ReportsByKey() const;
 
-  // Clears sketch, bloom filter and report list. Called by the agent every second.
+  // Clears sketch and report list: the start of a new recording window.
   void NewEpoch();
 
   uint32_t Estimate(uint64_t key) const { return sketch_.Estimate(key); }
-  size_t MemoryBits() const { return sketch_.MemoryBits() + bloom_.MemoryBits(); }
 
  private:
   // One report-table slot; `used` marks it occupied.
@@ -106,7 +100,6 @@ class HeavyHitterDetector {
 
   Config config_;
   CountMinSketch sketch_;
-  BloomFilter bloom_;
   // Open-addressing report table with linear probing, sized once so that
   // max_reports_per_epoch keys fill at most 4/5 of it: it never rehashes and a
   // probe run always ends at a free slot.

@@ -23,8 +23,6 @@ TEST_P(CacheSwitchFuzzTest, MatchesReferenceModel) {
   CacheSwitch::Config cfg;
   cfg.num_stages = 2;
   cfg.slots_per_stage = 64;  // small so ResourceExhausted paths get exercised
-  cfg.hh.sketch.width = 256;
-  cfg.hh.bloom.bits = 1024;
   CacheSwitch sw(cfg);
   std::map<uint64_t, RefEntry> ref;
   size_t ref_slots = 0;

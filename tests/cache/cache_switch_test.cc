@@ -9,8 +9,6 @@ CacheSwitch MakeSwitch(size_t stages = 8, size_t slots = 64) {
   CacheSwitch::Config cfg;
   cfg.num_stages = stages;
   cfg.slots_per_stage = slots;
-  cfg.hh.sketch.width = 1024;
-  cfg.hh.bloom.bits = 4096;
   return CacheSwitch(cfg);
 }
 
@@ -90,7 +88,7 @@ TEST(CacheSwitch, NewEpochResetsTelemetryAndHitCounters) {
   sw.NewEpoch();
   EXPECT_EQ(sw.TelemetryLoad(), 0u);
   EXPECT_EQ(sw.HitCount(1), 0u);
-  EXPECT_TRUE(sw.Contains(1));  // contents survive epochs
+  EXPECT_TRUE(sw.IsValid(1));  // contents survive epochs
 }
 
 TEST(CacheSwitch, SlotAccountingPerValueSize) {
@@ -122,35 +120,6 @@ TEST(CacheSwitch, RejectsWhenSlotsExhausted) {
 TEST(CacheSwitch, RejectsOversizedValue) {
   CacheSwitch sw = MakeSwitch();
   EXPECT_EQ(sw.InsertInvalid(1, 129).code(), StatusCode::kInvalidArgument);
-}
-
-TEST(CacheSwitch, ColdestKeyTracksHits) {
-  CacheSwitch sw = MakeSwitch();
-  for (uint64_t k : {1, 2, 3}) {
-    sw.InsertInvalid(k, 16).ok();
-    sw.UpdateValue(k, "v").ok();
-  }
-  std::string value;
-  sw.Lookup(1, &value);
-  sw.Lookup(1, &value);
-  sw.Lookup(2, &value);
-  const auto coldest = sw.ColdestKey();
-  ASSERT_TRUE(coldest.has_value());
-  EXPECT_EQ(*coldest, 3u);
-}
-
-TEST(CacheSwitch, ColdestKeyEmptyCache) {
-  CacheSwitch sw = MakeSwitch();
-  EXPECT_FALSE(sw.ColdestKey().has_value());
-}
-
-TEST(CacheSwitch, CachedKeysEnumerates) {
-  CacheSwitch sw = MakeSwitch();
-  sw.InsertInvalid(5, 16).ok();
-  sw.InsertInvalid(7, 16).ok();
-  auto keys = sw.CachedKeys();
-  std::sort(keys.begin(), keys.end());
-  EXPECT_EQ(keys, (std::vector<uint64_t>{5, 7}));
 }
 
 TEST(CacheSwitch, IsValidReflectsState) {

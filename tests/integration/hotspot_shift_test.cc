@@ -3,8 +3,6 @@
 // onto cold keys (hit ratio collapses), the controller re-allocates the cache
 // from observed heavy-hitter counts (sketch → merge → refill → route push), and
 // the hit ratio recovers — in all three engines, with request-level parity.
-// (The switch-local version of the same loop — detector → agent eviction /
-// insertion on one CacheSwitch — is covered by tests/cache/switch_agent_test.cc.)
 #include <gtest/gtest.h>
 
 #include <cmath>

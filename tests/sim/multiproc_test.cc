@@ -12,8 +12,11 @@
 //  * crash isolation — a shard process SIGKILLed mid-run must be detected by
 //    the supervisor: the run returns (never hangs) with the survivors' partial
 //    stats and failed_shards reporting the dead shard.
+//  * dynamic cache policies — an LRU run over the full timeline goes through
+//    the same arena re-allocation rendezvous as the static policies and must
+//    match the in-process engine at x1 field for field.
 //  * stats codec — the arena hand-off format round-trips BackendStats exactly,
-//    doubles bit for bit, and rejects truncated buffers.
+//    doubles bit for bit, and rejects truncated or mutated buffers.
 //
 // Everything that forks is skipped under TSan (TSan's runtime does not follow
 // fork-without-exec children; the in-process engines keep TSan coverage of the
@@ -21,7 +24,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/random.h"
+#include "runtime/fault_plan.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
 #include "sim/stats_codec.h"
@@ -127,8 +133,8 @@ TEST(MultiprocGolden, SingleProcessStaticRunMatchesShardedGolden) {
 }
 
 // And the full failure+shift+realloc timeline pins: the locally-queued
-// timeline and the all-to-all realloc rendezvous must collapse, at one
-// process, to exactly the in-process controller's computation.
+// timeline and the arena realloc rendezvous must collapse, at one process, to
+// exactly the in-process controller's computation.
 TEST(MultiprocGolden, SingleProcessTimelineRunMatchesShardedGolden) {
   SKIP_UNLESS_MULTIPROC_RUNNABLE();
   SimBackendConfig bcfg = GoldenBackendConfig(1);
@@ -224,6 +230,55 @@ TEST(MultiprocScaling, TimelineStatsParityAcross124Processes) {
     EXPECT_NEAR(static_cast<double>(st.dropped), drop_ref, 0.15 * drop_ref)
         << "shards run " << i;
   }
+}
+
+// A dynamic cache policy over the full timeline (fail, recovery, shift,
+// re-allocation): the re-allocation runs through the same arena rendezvous as
+// for static policies. At x1 every field must equal the in-process engine's;
+// at x2 the run must complete with every request accounted for.
+TEST(MultiprocPolicy, LruTimelineMatchesShardedAtOneAndCompletesAtTwo) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  constexpr uint64_t kRequests = 200'000;
+  SimBackendConfig bcfg = GoldenBackendConfig(1);
+  bcfg.cluster.cache_policy = CachePolicyKind::kLru;
+  bcfg.cluster.cache_hierarchy = HierarchyMode::kInclusive;
+  bcfg.cluster.write_policy = WritePolicy::kWriteThrough;
+  bcfg.events = FullTimeline();
+  bcfg.sample_interval = 40'000;
+  const BackendStats sharded =
+      MakeSimBackend(BackendKind::kSharded, bcfg)->Run(kRequests);
+  const BackendStats multiproc =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+
+  ASSERT_GT(sharded.hit_ratio(), 0.2);
+  EXPECT_EQ(multiproc.failed_shards, 0u);
+  EXPECT_EQ(multiproc.requests, sharded.requests);
+  EXPECT_EQ(multiproc.reads, sharded.reads);
+  EXPECT_EQ(multiproc.writes, sharded.writes);
+  EXPECT_EQ(multiproc.cache_hits, sharded.cache_hits);
+  EXPECT_EQ(multiproc.spine_hits, sharded.spine_hits);
+  EXPECT_EQ(multiproc.leaf_hits, sharded.leaf_hits);
+  EXPECT_EQ(multiproc.server_reads, sharded.server_reads);
+  EXPECT_EQ(multiproc.cache_write_hits, sharded.cache_write_hits);
+  EXPECT_EQ(multiproc.writebacks, sharded.writebacks);
+  EXPECT_EQ(multiproc.dropped, sharded.dropped);
+  EXPECT_EQ(multiproc.cache_load, sharded.cache_load);  // bit-exact doubles
+  EXPECT_EQ(multiproc.server_load, sharded.server_load);
+  ASSERT_EQ(multiproc.series.size(), sharded.series.size());
+  for (size_t i = 0; i < sharded.series.size(); ++i) {
+    EXPECT_EQ(multiproc.series[i].requests, sharded.series[i].requests);
+    EXPECT_EQ(multiproc.series[i].delivered, sharded.series[i].delivered);
+    EXPECT_EQ(multiproc.series[i].dropped, sharded.series[i].dropped);
+    EXPECT_EQ(multiproc.series[i].reads, sharded.series[i].reads);
+    EXPECT_EQ(multiproc.series[i].cache_hits, sharded.series[i].cache_hits);
+  }
+
+  bcfg.shards = 2;
+  const BackendStats two =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+  EXPECT_EQ(two.failed_shards, 0u);
+  EXPECT_EQ(two.requests, kRequests);
+  EXPECT_EQ(two.reads + two.writes, kRequests);
 }
 
 // The crash-isolation contract: SIGKILL one shard process mid-run. The
@@ -430,6 +485,99 @@ TEST(StatsCodec, RejectsTruncatedBuffersWithoutCrashing) {
   // And a too-small serialize target reports 0, never a partial write claim.
   std::vector<uint8_t> tiny(8);
   EXPECT_EQ(SerializeBackendStats(st, tiny.data(), tiny.size()), 0u);
+}
+
+// Seeded mutation of real arena blobs. The supervisor deserializes bytes a
+// child process wrote, so the reader must survive any damage: every mutated
+// blob either fails to parse (leaving empty stats) or parses into vectors no
+// larger than its bytes can hold — never a crash or a length-word-sized
+// allocation. The blob comes from a two-process timeline run with open-loop
+// latency (per-interval histograms) and injected faults (a fault series).
+// Three mutation classes: a random byte flip at every position, truncation at
+// every length, and every 8-byte word (the length words among them) set to
+// huge values.
+size_t PayloadBytes(const BackendStats& st) {
+  size_t bytes = st.server_load.size() * sizeof(double) +
+                 st.latency.counts().size() * sizeof(uint64_t) +
+                 st.fault_events.size() * 16;
+  for (const std::vector<double>& layer : st.cache_load) {
+    bytes += layer.size() * sizeof(double);
+  }
+  for (const BackendStats::IntervalPoint& pt : st.series) {
+    bytes += 5 * sizeof(uint64_t) + pt.latency.counts().size() * sizeof(uint64_t);
+  }
+  return bytes;
+}
+
+// Parses the first `len` bytes of `blob`; returns whether they parsed.
+bool ExpectSafeParse(const std::vector<uint8_t>& blob, size_t len,
+                     const BackendStats& original, const char* what,
+                     size_t at) {
+  BackendStats out;
+  if (!DeserializeBackendStats(blob.data(), len, &out)) {
+    EXPECT_TRUE(out.cache_load.empty() && out.server_load.empty() &&
+                out.series.empty() && out.fault_events.empty() &&
+                out.latency.empty())
+        << what << " at " << at << ": rejected blob left partial stats";
+    return false;
+  }
+  EXPECT_LE(PayloadBytes(out), len) << what << " at " << at;
+  // Whatever parsed must be safe to consume the way the supervisor does.
+  BackendStats merged = original;
+  merged.Merge(out);
+  (void)out.latency.Percentile(99.0);
+  (void)DeterministicStatsDigest(merged);
+  return true;
+}
+
+TEST(StatsCodec, MutatedArenaBlobsNeverCrashTheReader) {
+  SKIP_UNLESS_MULTIPROC_RUNNABLE();
+  constexpr uint64_t kRequests = 200'000;
+  SimBackendConfig bcfg = GoldenBackendConfig(2);
+  bcfg.events = FullTimeline();
+  bcfg.sample_interval = 50'000;
+  bcfg.queue.arrival.rate = 24.0;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("drop:0@10000:2,delay:1@20000:1", 2, kRequests,
+                             bcfg.cluster.seed, &bcfg.fault_plan, &error))
+      << error;
+  const BackendStats st =
+      MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
+  ASSERT_EQ(st.failed_shards, 0u);
+  ASSERT_FALSE(st.latency.empty());
+  ASSERT_FALSE(st.series.empty());
+  ASSERT_FALSE(st.fault_events.empty());
+
+  const size_t bound = StatsCodecBound(
+      st.cache_load.size(),
+      st.cache_load.size() * st.cache_load[0].size(), st.server_load.size(),
+      st.series.size(), st.fault_events.size());
+  std::vector<uint8_t> valid(bound);
+  const size_t len = SerializeBackendStats(st, valid.data(), valid.size());
+  ASSERT_GT(len, 0u);
+  valid.resize(len);
+  ASSERT_TRUE(ExpectSafeParse(valid, len, st, "unmutated", 0));
+
+  Rng rng(0x5eedb10bULL);
+  std::vector<uint8_t> blob = valid;
+  for (size_t i = 0; i < len; ++i) {
+    const uint8_t mask = static_cast<uint8_t>(1 + rng.NextBounded(255));
+    blob[i] ^= mask;
+    ExpectSafeParse(blob, len, st, "byte flip", i);
+    blob[i] ^= mask;
+  }
+  for (size_t cut = 0; cut < len; ++cut) {
+    EXPECT_FALSE(ExpectSafeParse(valid, cut, st, "truncation", cut))
+        << "accepted a " << cut << "-byte truncation of " << len;
+  }
+  const uint64_t huge[] = {~0ull, 1ull << 63, 1ull << 40, len / 8 + 1};
+  for (size_t at = 0; at + 8 <= len; at += 8) {
+    for (const uint64_t value : huge) {
+      std::memcpy(blob.data() + at, &value, sizeof(value));
+      ExpectSafeParse(blob, len, st, "huge word", at);
+    }
+    std::memcpy(blob.data() + at, valid.data() + at, 8);
+  }
 }
 
 }  // namespace

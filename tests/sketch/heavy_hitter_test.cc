@@ -9,7 +9,6 @@
 
 #include "common/random.h"
 #include "common/zipf.h"
-#include "sketch/bloom_filter.h"
 #include "sketch/count_min.h"
 
 namespace distcache {
@@ -19,8 +18,6 @@ HeavyHitterDetector::Config SmallConfig(uint32_t threshold = 32) {
   HeavyHitterDetector::Config cfg;
   cfg.sketch.rows = 4;
   cfg.sketch.width = 4096;
-  cfg.bloom.hashes = 3;
-  cfg.bloom.bits = 16384;
   cfg.report_threshold = threshold;
   return cfg;
 }
@@ -109,7 +106,7 @@ TEST(HeavyHitterDetector, ReportCapIsEnforced) {
 class ReferenceDetector {
  public:
   explicit ReferenceDetector(const HeavyHitterDetector::Config& config)
-      : config_(config), sketch_(config.sketch), bloom_(config.bloom) {}
+      : config_(config), sketch_(config.sketch) {}
 
   bool Record(uint64_t key) {
     const uint32_t estimate = sketch_.Update(key);
@@ -128,21 +125,6 @@ class ReferenceDetector {
     return true;
   }
 
-  // The switch's report decision as the detector made it with the Bloom filter
-  // inside Record: every admitted access tests-and-inserts the key.
-  bool RecordWithBloom(uint64_t key) {
-    const uint32_t estimate = sketch_.Update(key);
-    if (estimate < config_.report_threshold) {
-      return false;
-    }
-    if (reports_.size() >= config_.max_reports_per_epoch && !reports_.contains(key)) {
-      return false;
-    }
-    const bool already_reported = bloom_.InsertAndTest(key);
-    reports_[key] = estimate;
-    return !already_reported;
-  }
-
   std::vector<std::pair<uint64_t, uint32_t>> TopReports() const {
     std::vector<std::pair<uint64_t, uint32_t>> out(reports_.begin(), reports_.end());
     std::stable_sort(out.begin(), out.end(),
@@ -153,7 +135,6 @@ class ReferenceDetector {
  private:
   HeavyHitterDetector::Config config_;
   CountMinSketch sketch_;
-  BloomFilter bloom_;
   std::map<uint64_t, uint32_t> reports_;
 };
 
@@ -225,28 +206,6 @@ TEST(HeavyHitterDetector, RecordsStagedAheadMatchRecordByKey) {
   EXPECT_EQ(staged_hh.TopReports().size(), cfg.max_reports_per_epoch);
 }
 
-TEST(HeavyHitterDetector, SwitchReportsKeepTheBloomDedupe) {
-  // A tiny Bloom filter makes false positives common; the switch's
-  // Record() && FilterReport() must reproduce the Bloom-inside-Record decisions
-  // exactly, false positives included.
-  HeavyHitterDetector::Config cfg = SmallConfig(3);
-  cfg.bloom.bits = 64;
-  cfg.max_reports_per_epoch = 300;
-  HeavyHitterDetector hh(cfg);
-  ReferenceDetector ref(cfg);
-  ZipfDistribution dist(20000, 0.9);
-  Rng rng(23);
-  int reports = 0;
-  for (int i = 0; i < 40000; ++i) {
-    const uint64_t key = dist.Sample(rng);
-    const bool reported = hh.Record(key) && hh.FilterReport(key);
-    ASSERT_EQ(reported, ref.RecordWithBloom(key)) << "access " << i;
-    reports += reported ? 1 : 0;
-  }
-  EXPECT_GT(reports, 0);
-  EXPECT_LT(static_cast<size_t>(reports), hh.TopReports().size());  // some filtered
-}
-
 // The merge's reference model: per-key sums in a hash map, then a full sort.
 std::vector<std::pair<uint64_t, uint64_t>> ReferenceMerge(
     const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
@@ -292,11 +251,6 @@ TEST(MergeHeavyHitterReports, PrefixEqualsFullMergePrefix) {
           << "trial " << trial << " limit " << limit;
     }
   }
-}
-
-TEST(HeavyHitterDetector, MemoryBitsCombineSketchAndBloom) {
-  HeavyHitterDetector hh(SmallConfig());
-  EXPECT_EQ(hh.MemoryBits(), 4u * 4096u * 16u + 3u * 16384u);
 }
 
 TEST(HeavyHitterDetector, ReportsByKeyIsTopReportsInKeyOrder) {

@@ -6,6 +6,9 @@
 #     top-level *.md / CMakeLists.txt) must exist.
 #  2. docs/ARCHITECTURE.md's paper-to-code map must mention every bench harness
 #     (bench/bench_*.cc) by file name.
+#  3. Every src/**/*.h must be included by some file under src/, tools/, bench/
+#     or examples/ other than its own .cc: a module that only its own test
+#     calls does not belong in the tree.
 #
 # Run from the repo root (the `docs-check` CMake target does).
 set -u
@@ -39,6 +42,17 @@ if [ -f docs/ARCHITECTURE.md ]; then
     fi
   done
 fi
+
+for header in $(find src -name '*.h' | sort); do
+  include="${header#src/}"
+  own_cc="${header%.h}.cc"
+  users=$(grep -rlF --include='*.h' --include='*.cc' --include='*.cpp' \
+    "#include \"$include\"" src tools bench examples | grep -vxF "$own_cc")
+  if [ -z "$users" ]; then
+    echo "docs-check: $header is included by nothing outside its own .cc and tests"
+    fail=1
+  fi
+done
 
 if [ "$fail" -eq 0 ]; then
   echo "docs-check: OK"
