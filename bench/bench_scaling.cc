@@ -18,9 +18,10 @@
 // sharded and multiproc rows run the *same* per-shard engine — the column
 // difference is purely the transport substrate (in-process SPSC rings vs
 // shared-memory arena rings plus fork/stats-codec overhead), which is exactly
-// what the multiproc rows exist to measure. Every point is best-of-N wall time
-// (the harness shares its host with noisy neighbours; best-of is the standard
-// de-noising for throughput floors). Emits BENCH_scaling.json under --json.
+// what the multiproc rows exist to measure. Every point is the median wall-time
+// throughput of N trials: the harness shares its host with noisy neighbours,
+// and the median, unlike the best, is not carried by one lucky trial. Emits
+// BENCH_scaling.json under --json.
 //
 // --pin-cores: pin each shard to a core (threads for sharded, whole processes
 // for multiproc); recorded in the JSON config so pinned and unpinned artifacts
@@ -33,6 +34,7 @@
 // (exhausted /dev/shm, locked-down sandboxes) skip the multiproc rows and
 // their gate leg with a note instead of failing — the in-process legs still
 // gate. The perf-smoke CI job runs this in DISTCACHE_BENCH_SMOKE mode.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -78,7 +80,7 @@ SimBackendConfig MakeConfig(size_t layers, const Workload& w, uint64_t requests)
   return bcfg;
 }
 
-// Best-of-N throughput for one engine point; stats (hit ratio, transport
+// Median-of-N throughput for one engine point; stats (hit ratio, transport
 // counters) come from the last run — they are trial-invariant up to scheduling
 // noise.
 Point Measure(const std::string& key, BackendKind kind, uint32_t shards,
@@ -86,17 +88,20 @@ Point Measure(const std::string& key, BackendKind kind, uint32_t shards,
               bool pin_cores) {
   Point p;
   p.key = key;
+  std::vector<double> mrps;
   for (int t = 0; t < trials; ++t) {
     SimBackendConfig bcfg = MakeConfig(layers, w, requests);
     bcfg.shards = shards;
     bcfg.pin_cores = pin_cores;
     const BackendStats st = MakeSimBackend(kind, bcfg)->Run(requests);
-    p.mrps = std::max(p.mrps, st.throughput_mrps());
+    mrps.push_back(st.throughput_mrps());
     p.hit_ratio = st.hit_ratio();
     p.ring_messages = st.ring_messages;
     p.contended = st.contended_receives;
     p.uncontended = st.uncontended_receives;
   }
+  std::nth_element(mrps.begin(), mrps.begin() + trials / 2, mrps.end());
+  p.mrps = mrps[trials / 2];
   return p;
 }
 
@@ -110,7 +115,7 @@ struct Substrate {
 
 int Run(BenchJson& json, bool gate, bool pin_cores) {
   const uint64_t requests = BenchSmoke() ? 2'000'000 : 8'000'000;
-  const int trials = 3;  // best-of-3 in both modes; smoke shrinks requests only
+  const int trials = 3;  // median of 3 in both modes; smoke shrinks requests only
   const std::vector<uint32_t> shard_sweep{1, 2, 4};
   const std::vector<size_t> layer_sweep{2, 3};
   const std::vector<Workload> workloads{
@@ -128,12 +133,13 @@ int Run(BenchJson& json, bool gate, bool pin_cores) {
   }
 
   PrintHeader("Engine scaling: simulator throughput vs worker shards",
-              "paper-default cluster (32 nodes/layer), read-only; best-of-" +
-                  std::to_string(trials) + " wall time per point; 'seq' = "
+              "paper-default cluster (32 nodes/layer), read-only; median of " +
+                  std::to_string(trials) + " trials per point; 'seq' = "
                   "sequential reference engine; 'multiproc' = one forked, "
                   "shared-memory shard process per shard");
   json.Config("requests", static_cast<double>(requests));
   json.Config("trials", static_cast<double>(trials));
+  json.Config("trial_statistic", "median");  // artifacts before this were best-of
   json.Config("nodes_per_layer", static_cast<double>(kNodesPerLayer));
   json.Config("pin_cores", pin_cores ? 1.0 : 0.0);
   json.Config("multiproc_supported", multiproc_ok ? 1.0 : 0.0);

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "common/hash.h"
+#include "common/parse.h"
 #include "common/random.h"
 
 namespace distcache {
@@ -136,11 +137,13 @@ bool ParseFaultPlan(const std::string& spec, uint32_t shards,
       // random:<count>[:<kind>]
       const std::string rest = term.substr(7);
       const size_t colon = rest.find(':');
-      const std::string count_str = rest.substr(0, colon);
-      char* end = nullptr;
-      const unsigned long count = std::strtoul(count_str.c_str(), &end, 10);
-      if (end == count_str.c_str() || *end != '\0') {
+      uint64_t count = 0;
+      if (!ParseStrictUint(rest.substr(0, colon), &count)) {
         return Fail(error, "fault-plan: bad count in '" + term + "'");
+      }
+      if (count > kMaxRandomFaults) {
+        return Fail(error, "fault-plan: count in '" + term + "' exceeds " +
+                               std::to_string(kMaxRandomFaults));
       }
       int kind_sel = -1;
       if (colon != std::string::npos) {
@@ -173,25 +176,22 @@ bool ParseFaultPlan(const std::string& spec, uint32_t shards,
     if (at_sign == std::string::npos) {
       return Fail(error, "fault-plan: expected <shard>@<at> in '" + term + "'");
     }
-    char* end = nullptr;
-    const std::string shard_str = body.substr(0, at_sign);
-    e.shard = static_cast<uint32_t>(std::strtoul(shard_str.c_str(), &end, 10));
-    if (end == shard_str.c_str() || *end != '\0') {
+    uint64_t shard = 0;
+    if (!ParseStrictUint(body.substr(0, at_sign), &shard) ||
+        shard > std::numeric_limits<uint32_t>::max()) {
       return Fail(error, "fault-plan: bad shard in '" + term + "'");
     }
+    e.shard = static_cast<uint32_t>(shard);
     std::string at_str = body.substr(at_sign + 1);
     const size_t param_colon = at_str.find(':');
     e.param = DefaultParam(e.kind);
     if (param_colon != std::string::npos) {
-      const std::string param_str = at_str.substr(param_colon + 1);
-      e.param = std::strtoull(param_str.c_str(), &end, 10);
-      if (end == param_str.c_str() || *end != '\0') {
+      if (!ParseStrictUint(at_str.substr(param_colon + 1), &e.param)) {
         return Fail(error, "fault-plan: bad param in '" + term + "'");
       }
       at_str.resize(param_colon);
     }
-    e.at_request = std::strtoull(at_str.c_str(), &end, 10);
-    if (end == at_str.c_str() || *end != '\0') {
+    if (!ParseStrictUint(at_str, &e.at_request)) {
       return Fail(error, "fault-plan: bad timestamp in '" + term + "'");
     }
     if (shards != 0 && e.shard >= shards) {

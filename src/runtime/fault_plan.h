@@ -81,14 +81,22 @@ struct FaultPlan {
   uint64_t max_stall_ms() const;
 };
 
+// Largest `count` a random:<count> term may ask for. The parser rejects more
+// before anything is allocated: a chaos run wants a handful of faults, and a
+// typo must not reserve gigabytes.
+constexpr uint32_t kMaxRandomFaults = 4096;
+
 // Parses a --fault-plan spec: comma-separated terms, each either
 //   <kind>:<shard>@<at>[:<param>]   one explicit event, or
 //   mapfail                          the arena-map-failure simulation, or
 //   random:<count>[:<kind>]         `count` seeded events (uniform shard,
 //                                    timestamps in the middle 70% of the run,
 //                                    kind fixed or sampled per event)
-// `shards`/`num_requests`/`seed` feed the random generator. Returns false and
-// fills *error on malformed specs; an empty spec yields an empty plan.
+// Every number is a plain decimal (no sign, no blanks); a shard must fit
+// uint32 and be below `shards` (when nonzero), a count must be at most
+// kMaxRandomFaults. `shards`/`num_requests`/`seed` feed the random generator.
+// Returns false and fills *error on malformed specs; an empty spec yields an
+// empty plan.
 bool ParseFaultPlan(const std::string& spec, uint32_t shards,
                     uint64_t num_requests, uint64_t seed, FaultPlan* plan,
                     std::string* error);

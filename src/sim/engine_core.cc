@@ -64,6 +64,13 @@ std::shared_ptr<const RouteTable> AdvancePlanState(const TimelineStep& step,
   return nullptr;
 }
 
+// Whether the timeline plan keeps `event` under cache policy `policy`; the
+// one place that decides a dynamic policy has no kReallocateCache step.
+bool PlanKeepsEvent(const ClusterEvent& event, CachePolicyKind policy) {
+  return event.kind != ClusterEvent::Kind::kReallocateCache ||
+         !PolicyIsDynamic(policy);
+}
+
 }  // namespace
 
 uint64_t PlanRouteTableBytes(const RouteTable* base,
@@ -77,9 +84,11 @@ uint64_t PlanRouteTableBytes(const RouteTable* base,
   return total;
 }
 
-bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events) {
-  return std::any_of(events.begin(), events.end(), [](const ClusterEvent& e) {
-    return e.kind == ClusterEvent::Kind::kReallocateCache;
+bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events,
+                           CachePolicyKind policy) {
+  return std::any_of(events.begin(), events.end(), [policy](const ClusterEvent& e) {
+    return e.kind == ClusterEvent::Kind::kReallocateCache &&
+           PlanKeepsEvent(e, policy);
   });
 }
 
@@ -95,6 +104,9 @@ std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
     plan.push_back(std::move(step));
   }
   for (const ClusterEvent& event : config.events) {
+    if (!PlanKeepsEvent(event, config.cluster.cache_policy)) {
+      continue;
+    }
     TimelineStep step;
     step.at_request = event.at_request;
     step.event = event;
@@ -143,6 +155,28 @@ std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
     routes.push_back(AdvancePlanState(plan[i], model, alive, shift));
   }
   return routes;
+}
+
+void ApplyReallocation(
+    ClusterModel& model, const EngineCore& core,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
+  model.SyncControllerRemap(core.spine_alive());
+  std::vector<uint64_t> hottest;
+  for (const auto& [key, count] : MergeHeavyHitterReports(reports, model.pool)) {
+    hottest.push_back(key);
+  }
+  model.ReallocateCache(hottest);
+}
+
+ReallocatedRoutes RebuildReallocatedRoutes(const std::vector<TimelineStep>& plan,
+                                           ClusterModel& model,
+                                           const EngineCore& core) {
+  ReallocatedRoutes out;
+  out.now = std::make_shared<const RouteTable>(
+      BuildRouteTable(model, core.hot_shift()));
+  out.suffix = RebuildPlanSuffixRoutes(plan, core.next_action_index(), model,
+                                       core.spine_alive(), core.hot_shift());
+  return out;
 }
 
 EngineCore::EngineCore(const ClusterModel* model, uint64_t rng_seed,

@@ -78,8 +78,12 @@ struct TimelineStep {
 
 // Merges config.events and config.phases into one plan ordered by at_request
 // (phases before events on timestamp ties; list order otherwise preserved),
-// precomputing each step's snapshot. Mutates `model`'s controller/allocation state
-// while walking the failure remaps — the same end state the runtime reads back.
+// precomputing each step's snapshot. Under a dynamic cache policy
+// (core/cache_policy.h) the plan drops every kReallocateCache step: the
+// controller re-allocates the static allocation only, and a dynamic policy
+// manages its own cache contents, so no engine builds an observer, runs a
+// rendezvous or reserves report space for such a step. Mutates `model`'s controller/allocation state while walking the
+// failure remaps — the same end state the runtime reads back.
 std::vector<TimelineStep> BuildTimelinePlan(const SimBackendConfig& config,
                                             ClusterModel& model);
 
@@ -94,10 +98,12 @@ std::vector<std::shared_ptr<const RouteTable>> RebuildPlanSuffixRoutes(
     const std::vector<TimelineStep>& plan, size_t from, ClusterModel& model,
     std::vector<uint8_t> alive_now, uint64_t shift_now);
 
-// True when the timeline contains a kReallocateCache step — the engines then
-// build the core's heavy-hitter observer, which records reads only inside the
-// windows a re-allocation consumes (EngineCore::UpdateRecordingWindow).
-bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events);
+// True when the plan for `events` under `policy` keeps a kReallocateCache
+// step (see BuildTimelinePlan) — the engines then build the core's heavy-hitter observer, which
+// records reads only inside the windows a re-allocation consumes
+// (EngineCore::UpdateRecordingWindow).
+bool TimelineNeedsObserver(const std::vector<ClusterEvent>& events,
+                           CachePolicyKind policy = CachePolicyKind::kDistCache);
 
 // Total bytes of the base route table plus every precomputed plan snapshot —
 // the figure the engines stamp into BackendStats::route_table_bytes. Tables a
@@ -197,16 +203,21 @@ class EngineCore {
   // first post-reallocation step, the start of the suffix whose snapshots the
   // hook replaces.
   size_t next_action_index() const { return next_action_; }
-  // Swaps the route snapshot of the pending action at `index` (used by the
-  // reallocate hooks to install suffix tables rebuilt against the refilled
-  // allocation). Applied actions are never patched.
-  void SetActionRoutes(size_t index, std::shared_ptr<const RouteTable> routes) {
-    if (index >= next_action_ && index < actions_.size()) {
-      actions_[index].routes = std::move(routes);
-      actions_[index].has_route_view = false;
+  // Swaps the route snapshots of the pending actions, suffix[i] for action
+  // next_action_index() + i, skipping null entries (used by the reallocate
+  // hooks to install suffix tables rebuilt against the refilled allocation).
+  // Applied actions are never patched.
+  void SetPendingRoutes(
+      const std::vector<std::shared_ptr<const RouteTable>>& suffix) {
+    for (size_t i = 0; i < suffix.size() && next_action_ + i < actions_.size();
+         ++i) {
+      if (suffix[i] != nullptr) {
+        actions_[next_action_ + i].routes = suffix[i];
+        actions_[next_action_ + i].has_route_view = false;
+      }
     }
   }
-  // View flavor of SetActionRoutes (arena-published suffix tables).
+  // One-action view flavor of SetPendingRoutes (arena-published suffix tables).
   void SetActionRouteView(size_t index, const RouteEntry* entries,
                           size_t hot_len, const uint32_t* overflow) {
     if (index >= next_action_ && index < actions_.size()) {
@@ -511,6 +522,29 @@ class EngineCore {
   PhaseHook phase_hook_;
   ReallocateHook realloc_hook_;
 };
+
+// A kReallocateCache step's controller work (§6.4), shared by every engine.
+// Re-syncs the controller remap to `core`'s alive set (the construction-time
+// plan walk left it at the end-of-timeline state), ranks the merged
+// heavy-hitter `reports` (the refill reads only the hottest `pool`) and
+// refills the allocation hottest-first. MergeHeavyHitterReports is
+// order-independent and the refill is hash-based and RNG-free, so every
+// process given the same reports reaches the same model state.
+void ApplyReallocation(
+    ClusterModel& model, const EngineCore& core,
+    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
+
+// The route tables after ApplyReallocation: `now` to install at this step and
+// `suffix`, the snapshots of `plan`'s pending steps (from
+// core.next_action_index()) rebuilt against the refilled allocation, so later
+// failure/shift steps do not resurrect the pre-refill cached set.
+struct ReallocatedRoutes {
+  std::shared_ptr<const RouteTable> now;
+  std::vector<std::shared_ptr<const RouteTable>> suffix;
+};
+ReallocatedRoutes RebuildReallocatedRoutes(const std::vector<TimelineStep>& plan,
+                                           ClusterModel& model,
+                                           const EngineCore& core);
 
 template <typename Sink>
 void EngineCore::Process(Sink& sink, const RequestInput& in,

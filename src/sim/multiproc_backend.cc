@@ -23,7 +23,6 @@
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
 #include "sim/stats_codec.h"
-#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -509,7 +508,7 @@ void MultiprocBackend::ChildMain(uint32_t id, uint64_t quota,
   }
   const uint32_t n = shard_map_.shards();
   Proc p(id, &model_, config_.cluster.seed,
-         TimelineNeedsObserver(config_.events));
+         TimelineNeedsObserver(config_.events, config_.cluster.cache_policy));
   p.heartbeat = &ShardSlotAt(arena_, control_offset_, id)->heartbeat;
   p.data_in.resize(n);
   p.data_out.resize(n);
@@ -863,21 +862,6 @@ std::vector<std::pair<uint64_t, uint32_t>> MultiprocBackend::ReadArenaReport(
   return report;
 }
 
-void MultiprocBackend::ApplyReallocModel(
-    Proc& p,
-    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports) {
-  // MergeHeavyHitterReports is order-independent and the refill is hash-based
-  // and RNG-free, so every process given the same report set arrives at the
-  // same model state — the property controller failover leans on. The refill
-  // keeps the first `pool` keys, so only that prefix is ranked.
-  model_.SyncControllerRemap(p.core.spine_alive());
-  std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
-    hottest.push_back(key);
-  }
-  model_.ReallocateCache(hottest);
-}
-
 bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
   const uint32_t n = shard_map_.shards();
   auto* table_ready = reinterpret_cast<std::atomic<uint64_t>*>(
@@ -918,20 +902,18 @@ bool MultiprocBackend::ControllerPublishRealloc(Proc& p, uint32_t step) {
     }
     reports.push_back(ReadArenaReport(step, s));
   }
-  ApplyReallocModel(p, reports);
-  const RouteTable routes = BuildRouteTable(model_, p.core.hot_shift());
-  const std::vector<std::shared_ptr<const RouteTable>> suffix =
-      RebuildPlanSuffixRoutes(fired_plan_, p.core.next_action_index(), model_,
-                              p.core.spine_alive(), p.core.hot_shift());
+  ApplyReallocation(model_, p.core, reports);
+  const ReallocatedRoutes routes =
+      RebuildReallocatedRoutes(fired_plan_, model_, p.core);
   // On a controller respawn the flag may already be set; the model mutations
   // above still ran — later realloc steps need the refilled state — but the
   // identical bytes are not rewritten under concurrent readers. A failover
   // successor always finds the flag clear (kShardDead is set only after the
   // dead claimant's writes stopped), so its full rewrite wins cleanly.
   if (table_ready->load(std::memory_order_acquire) == 0) {
-    SerializeTable(arena_.At(tables[0]), &routes);
-    for (size_t i = 0; i < suffix.size(); ++i) {
-      SerializeTable(arena_.At(tables[1 + i]), suffix[i].get());
+    SerializeTable(arena_.At(tables[0]), routes.now.get());
+    for (size_t i = 0; i < routes.suffix.size(); ++i) {
+      SerializeTable(arena_.At(tables[1 + i]), routes.suffix[i].get());
     }
     table_ready->store(1 | (mask << 1), std::memory_order_release);
   }
@@ -1051,7 +1033,7 @@ std::shared_ptr<const RouteTable> MultiprocBackend::ReallocateViaArena(Proc& p) 
         reports.push_back(ReadArenaReport(step, s));
       }
     }
-    ApplyReallocModel(p, reports);
+    ApplyReallocation(model_, p.core, reports);
   }
   const TableView immediate = ViewTable(arena_.At(tables[0]));
   p.core.SetRouteView(immediate.entries, immediate.len, immediate.overflow);

@@ -87,8 +87,9 @@
 //     so every child queues it locally instead of receiving it from the
 //     controller shard;
 //   * the kReallocateCache rendezvous goes through the arena, single-
-//     controller with deterministic failover, for every cache policy: every
-//     shard publishes its heavy-hitter report, in key order, into an
+//     controller with deterministic failover (dynamic cache policies have no
+//     such step: BuildTimelinePlan drops it): every shard publishes its
+//     heavy-hitter report, in key order, into an
 //     idempotent per-(step, shard) arena slot sized by the observer's report
 //     cap (a longer report aborts the shard rather than lose its largest
 //     keys), then the lowest-indexed *live* shard claims a per-step
@@ -216,12 +217,6 @@ class MultiprocBackend : public SimBackend {
   // Reads shard `s`'s published report for `step` (its flag must be set).
   std::vector<std::pair<uint64_t, uint32_t>> ReadArenaReport(uint32_t step,
                                                              uint32_t s);
-  // The deterministic controller model mutations (remap sync + heavy-hitter
-  // merge + cache refill) every process applies, so later-step takeovers run
-  // against a current model.
-  void ApplyReallocModel(
-      Proc& p,
-      const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports);
   void ApplyDataSlot(Proc& p, const void* slot);
   // Full-ring retry with own-ring drains + backoff; null once aborted or when
   // `peer` was declared dead (callers distinguish via p.abort_seen).

@@ -7,7 +7,6 @@
 
 #include "common/hash.h"
 #include "sim/route_table.h"
-#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -37,7 +36,7 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
       model_(config.cluster, /*build_popularity=*/!config.two_level_sampling),
       core_(&model_, HashCombine(config.cluster.seed, 0xc1057e4ULL),
             HashCombine(config.cluster.seed, 0x90076eULL),
-            TimelineNeedsObserver(config.events)) {
+            TimelineNeedsObserver(config.events, config.cluster.cache_policy)) {
   if (config_.two_level_sampling) {
     two_level_ = std::make_unique<TwoLevelSampler>(
         model_.cfg.num_keys, model_.cfg.zipf_theta, model_.pool);
@@ -67,35 +66,13 @@ SequentialBackend::SequentialBackend(const SimBackendConfig& config)
     }
   });
   core_.SetReallocateHook([this]() -> std::shared_ptr<const RouteTable> {
-    // Controller re-allocation (§6.4): rank the observed heavy-hitter counts
-    // (the refill reads only the hottest `pool`), refill the allocation
-    // hottest-first, and swap in the rebuilt routes. The controller acts on
-    // its *current* failure knowledge, so first re-sync its remap to the
-    // alive set as of this timestamp (the construction-time plan walk left it
-    // at the end-of-timeline state).
-    model_.SyncControllerRemap(core_.spine_alive());
-    std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reports;
-    reports.push_back(core_.ObservedCounts());
-    std::vector<uint64_t> hottest;
-    for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
-      hottest.push_back(key);
-    }
-    model_.ReallocateCache(hottest);
-    auto routes = std::make_shared<const RouteTable>(
-        BuildRouteTable(model_, core_.hot_shift()));
-    // The remaining timeline's precomputed snapshots describe the pre-refill
-    // cached set; rebuild them against the refilled allocation so later
-    // failure/shift steps do not resurrect it. (Actions align with plan_ 1:1.)
-    const size_t from = core_.next_action_index();
-    const auto suffix = RebuildPlanSuffixRoutes(plan_, from, model_,
-                                                core_.spine_alive(),
-                                                core_.hot_shift());
-    for (size_t i = 0; i < suffix.size(); ++i) {
-      if (suffix[i] != nullptr) {
-        core_.SetActionRoutes(from + i, suffix[i]);
-      }
-    }
-    return routes;
+    // Controller re-allocation (§6.4) from this core's own observed counts.
+    // The plan's actions align with plan_ 1:1, so the rebuilt suffix applies
+    // to the core's pending actions directly.
+    ApplyReallocation(model_, core_, {core_.ObservedCounts()});
+    ReallocatedRoutes routes = RebuildReallocatedRoutes(plan_, model_, core_);
+    core_.SetPendingRoutes(routes.suffix);
+    return routes.now;
   });
 }
 

@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "runtime/affinity.h"
 #include "runtime/backoff.h"
-#include "sketch/heavy_hitter.h"
 
 namespace distcache {
 
@@ -175,44 +174,6 @@ void ShardedBackend::BroadcastTimeline(Shard& shard, uint64_t num_requests) {
   }
 }
 
-std::shared_ptr<const RouteTable> ShardedBackend::ReallocateFromReports(
-    Shard& shard,
-    const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
-    std::vector<std::shared_ptr<const RouteTable>>* suffix_routes) {
-  // Controller re-allocation (§6.4): merged observed counts → hottest-first
-  // refill → fresh routes. The controller acts on its *current* failure
-  // knowledge: re-sync its remap to the alive set as of this step (every shard
-  // has applied the same event prefix when it reaches the rendezvous, so the
-  // controller shard's view is the cluster's) — the construction-time plan walk
-  // left the model at the end-of-timeline state.
-  model_.SyncControllerRemap(shard.core.spine_alive());
-  std::vector<uint64_t> hottest;
-  for (const auto& [key, count] : MergeHeavyHitterReports(reports, model_.pool)) {
-    hottest.push_back(key);
-  }
-  model_.ReallocateCache(hottest);
-  auto routes = std::make_shared<const RouteTable>(
-      BuildRouteTable(model_, shard.core.hot_shift()));
-  // The remaining timeline's precomputed snapshots describe the pre-refill
-  // cached set; rebuild them against the refilled allocation so later
-  // failure/shift steps do not resurrect it. Every shard's pending actions are
-  // the same fired_plan_ suffix, so one rebuild serves the whole cluster.
-  *suffix_routes = RebuildPlanSuffixRoutes(
-      fired_plan_, shard.core.next_action_index(), model_,
-      shard.core.spine_alive(), shard.core.hot_shift());
-  return routes;
-}
-
-void ShardedBackend::ApplySuffixRoutes(
-    Shard& shard, const std::vector<std::shared_ptr<const RouteTable>>& suffix) {
-  const size_t from = shard.core.next_action_index();
-  for (size_t i = 0; i < suffix.size(); ++i) {
-    if (suffix[i] != nullptr) {
-      shard.core.SetActionRoutes(from + i, suffix[i]);
-    }
-  }
-}
-
 std::optional<ShardMsg> ShardedBackend::WaitControl(Shard& shard) {
   Backoff backoff;
   while (true) {
@@ -256,10 +217,14 @@ std::shared_ptr<const RouteTable> ShardedBackend::Reallocate(Shard& shard) {
         Apply(shard, *msg);
       }
     }
-    std::vector<std::shared_ptr<const RouteTable>> suffix;
-    std::shared_ptr<const RouteTable> routes =
-        ReallocateFromReports(shard, reports, &suffix);
-    ApplySuffixRoutes(shard, suffix);
+    // Every shard has applied the same event prefix when it reaches the
+    // rendezvous, so the controller shard's alive set is the cluster's; and
+    // every shard's pending actions are the same fired_plan_ suffix, so one
+    // rebuild serves the whole cluster.
+    ApplyReallocation(model_, shard.core, reports);
+    const ReallocatedRoutes routes =
+        RebuildReallocatedRoutes(fired_plan_, model_, shard.core);
+    shard.core.SetPendingRoutes(routes.suffix);
     for (uint32_t peer = 0; peer < shard_map_.shards(); ++peer) {
       if (peer == shard.id) {
         continue;
@@ -267,11 +232,11 @@ std::shared_ptr<const RouteTable> ShardedBackend::Reallocate(Shard& shard) {
       ShardMsg update;
       update.kind = ShardMsg::Kind::kRouteUpdate;
       update.from = shard.id;
-      update.route_table = routes;
-      update.suffix_routes = suffix;
+      update.route_table = routes.now;
+      update.suffix_routes = routes.suffix;
       SendControl(shard, peer, std::move(update));
     }
-    return routes;
+    return routes.now;
   }
   // Non-controller: report local observations, then wait for the new table.
   ShardMsg report;
@@ -281,7 +246,7 @@ std::shared_ptr<const RouteTable> ShardedBackend::Reallocate(Shard& shard) {
   SendControl(shard, controller, std::move(report));
   if (shard.pending_route_update != nullptr) {
     const auto update = std::exchange(shard.pending_route_update, nullptr);
-    ApplySuffixRoutes(shard, update->suffix_routes);
+    shard.core.SetPendingRoutes(update->suffix_routes);
     return update->route_table;
   }
   while (true) {
@@ -290,7 +255,7 @@ std::shared_ptr<const RouteTable> ShardedBackend::Reallocate(Shard& shard) {
       return nullptr;  // channel closed
     }
     if (msg->kind == ShardMsg::Kind::kRouteUpdate) {
-      ApplySuffixRoutes(shard, msg->suffix_routes);
+      shard.core.SetPendingRoutes(msg->suffix_routes);
       return msg->route_table;
     }
     Apply(shard, *msg);
@@ -589,7 +554,8 @@ void ShardedBackend::ShardMain(Shard& shard, uint64_t quota, uint64_t num_reques
 
 BackendStats ShardedBackend::Run(uint64_t num_requests) {
   const uint32_t n = shard_map_.shards();
-  const bool observer = TimelineNeedsObserver(config_.events);
+  const bool observer =
+      TimelineNeedsObserver(config_.events, config_.cluster.cache_policy);
   fired_plan_.clear();
   for (const TimelineStep& step : plan_) {
     if (step.at_request < num_requests) {

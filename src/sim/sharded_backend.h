@@ -119,15 +119,6 @@ class ShardedBackend : public SimBackend {
   // kReallocateCache rendezvous (header comment): returns the post-reallocation
   // route table, or null if the control channels were shut down mid-rendezvous.
   std::shared_ptr<const RouteTable> Reallocate(Shard& shard);
-  // Controller side of the rendezvous: merged refill + current table, plus
-  // rebuilt snapshots for the remaining timeline steps in *suffix_routes.
-  std::shared_ptr<const RouteTable> ReallocateFromReports(
-      Shard& shard,
-      const std::vector<std::vector<std::pair<uint64_t, uint32_t>>>& reports,
-      std::vector<std::shared_ptr<const RouteTable>>* suffix_routes);
-  // Installs rebuilt suffix snapshots over the shard's pending actions.
-  void ApplySuffixRoutes(
-      Shard& shard, const std::vector<std::shared_ptr<const RouteTable>>& suffix);
   // Data plane: lock-free push into the receiver's per-sender ring; on a full
   // ring, drains this shard's own rings and retries (deadlock-free, see above).
   void SendData(Shard& shard, uint32_t peer, ShardMsg msg);

@@ -232,91 +232,143 @@ struct SimBackendConfig {
   uint64_t sample_interval = 0;
 };
 
+// ---- the stats field table ------------------------------------------------
+// Every scalar of BackendStats and every counter of BackendStats::IntervalPoint
+// is declared once, in the two lists below. The member declarations, Merge,
+// both directions of the stats codec and its size bound (sim/stats_codec.h)
+// and DeterministicStatsDigest are all expanded from them, so a new scalar is
+// one new row here and nothing else. Each row is X(name, type, merge, kind):
+//
+//   type   uint64_t or double (the codec moves either as 8 raw bytes);
+//   merge  how per-shard partials combine in Merge (StatsMerge);
+//   kind   what the value depends on (StatsKind); kDigest rows, and only
+//          those, feed DeterministicStatsDigest.
+//
+// Row order is the codec order and the digest's mixing order, so reordering
+// rows or moving one into or out of kDigest changes every digest.
+
+enum class StatsMerge : uint8_t {
+  kSum,  // per-shard counts add up
+  kMax,  // every shard reports one shared figure or a high-water mark
+};
+
+enum class StatsKind : uint8_t {
+  // Fixed by (config, seed, fault plan) at every shard count. Digested.
+  kDigest,
+  // As deterministic as kDigest, but a function of digested rows, so the
+  // digest skips it.
+  kDerived,
+  // Deterministic at one shard; at more, telemetry arrival timing moves it
+  // through the PoT choice.
+  kOneShard,
+  // Describes the engine run rather than the simulated cluster: transport
+  // counters, wall-clock observations and memory.
+  kEngine,
+};
+
+#define DISTCACHE_BACKEND_STATS_SCALARS(X)                                    \
+  X(requests, uint64_t, kSum, kDigest)                                        \
+  X(reads, uint64_t, kSum, kDigest)                                           \
+  X(writes, uint64_t, kSum, kDigest)                                          \
+  /* Reads answered by a cache switch. */                                     \
+  X(cache_hits, uint64_t, kSum, kDigest)                                      \
+  /* Hits absorbed by the top (spine) layer. */                               \
+  X(spine_hits, uint64_t, kSum, kOneShard)                                    \
+  /* Hits absorbed by any lower layer (mid or leaf). */                       \
+  X(leaf_hits, uint64_t, kSum, kOneShard)                                     \
+  /* Reads served by the primary storage server. */                           \
+  X(server_reads, uint64_t, kSum, kDigest)                                    \
+  /* Dynamic-policy write path (core/cache_policy.h; zero under the default   \
+     static policy): writes absorbed by a cache node under write-back, and    \
+     dirty lines flushed to their primary server (on eviction, demotion off   \
+     the bottom layer, or a write falling through to the server). */          \
+  X(cache_write_hits, uint64_t, kSum, kDigest)                                \
+  X(writebacks, uint64_t, kSum, kDigest)                                      \
+  /* Requests blackholed by a dead spine switch before the controller         \
+     reacted (ECMP transit through a failed switch, §4.4); they charge no     \
+     load anywhere. */                                                        \
+  X(dropped, uint64_t, kSum, kDigest)                                         \
+  /* Sharded backend only (ring + control). */                                \
+  X(cross_shard_messages, uint64_t, kSum, kEngine)                            \
+  /* Sharded-transport instrumentation (zero elsewhere): messages that        \
+     travelled over the lock-free data-plane rings vs the mutex control       \
+     channel, and the batch-boundary control-channel polls split by whether   \
+     the lock-free emptiness fast path resolved them (uncontended) or the     \
+     mutex was taken (contended). The scaling bench reports these; a healthy  \
+     run is ~all-ring traffic and ~all-uncontended polls. */                  \
+  X(ring_messages, uint64_t, kSum, kEngine)                                   \
+  X(uncontended_receives, uint64_t, kSum, kEngine)                            \
+  X(contended_receives, uint64_t, kSum, kEngine)                              \
+  /* Multiproc engine only: shard processes that died (crashed / were         \
+     killed) before reporting their stats. Nonzero means the run's counters   \
+     are a partial picture and the driver should report failure: a dead       \
+     shard yields an explicit error, never a hang. */                         \
+  X(failed_shards, uint64_t, kSum, kDigest)                                   \
+  /* Multiproc engine only: re-forks performed under respawn mode             \
+     (supervisor-set; counts every respawn, so one shard killed twice         \
+     contributes 2). A shard that exhausts SimBackendConfig::respawn_limit    \
+     still counts failed. */                                                  \
+  X(respawned_shards, uint64_t, kSum, kDigest)                                \
+  /* Multiproc engine only: injected faults the shard processes survived and  \
+     recorded (stall/drop/delay/corrupt; crash-class injections kill the      \
+     recorder, so the supervisor's fault_events entry is their record). */    \
+  X(injected_faults, uint64_t, kSum, kDigest)                                 \
+  /* Multiproc engine only: heartbeat warn episodes the supervisor observed   \
+     (a shard silent past heartbeat_warn_ms; wall-clock). */                  \
+  X(heartbeat_misses, uint64_t, kSum, kEngine)                                \
+  /* Multiproc engine only: realloc-rendezvous controller takeovers (the      \
+     configured controller was dead, the next live shard by index published   \
+     the tables instead). Child-recorded, deterministic for a given plan. */  \
+  X(controller_failovers, uint64_t, kSum, kDigest)                            \
+  /* Multiproc engine only: fraction of the run's request quota lost to       \
+     shards that died without (or beyond) respawn, lost_quota /               \
+     num_requests. Losing 1 of N shards without respawn costs 1/N of the      \
+     quota and nothing else. */                                               \
+  X(degraded_fraction, double, kSum, kDigest)                                 \
+  /* Memory accounting. Peak resident set (getrusage ru_maxrss) of the        \
+     process that produced these stats. Max-merged: multi-process children    \
+     each count their view of shared pages, so a sum would overcount the      \
+     arena/COW pages; bench_memwall derives totals from the deterministic     \
+     byte rows below instead. */                                              \
+  X(peak_rss_bytes, uint64_t, kMax, kEngine)                                  \
+  /* Bytes held by this engine's route-table snapshots (base table + every    \
+     precomputed timeline snapshot, compact hot-prefix layout). Max-merged:   \
+     in-process shards share one plan and multiproc children alias one        \
+     arena/COW copy, so per-shard partials all report the same figure. */     \
+  X(route_table_bytes, uint64_t, kMax, kEngine)                               \
+  /* Bytes held by this engine's per-process workload sampler(s): the dense   \
+     alias / inverse-CDF tables, or the O(hot) two-level sampler. Max-merged  \
+     (shards are symmetric); bench_memwall multiplies by the shard count      \
+     when it wants the per-process private total. */                          \
+  X(sampler_bytes, uint64_t, kMax, kEngine)                                   \
+  /* Multiproc engine only: bytes of the shared-memory arena, mapped once and \
+     shared by every shard process (supervisor-set after the merge). */       \
+  X(arena_bytes, uint64_t, kMax, kEngine)                                     \
+  /* Wall-clock length of the run; shards run concurrently, so the longest    \
+     one is the run's. */                                                     \
+  X(wall_seconds, double, kMax, kEngine)
+
+// The per-interval slice of the aggregate counters (BackendStats::series).
+#define DISTCACHE_INTERVAL_POINT_COUNTERS(X)                                  \
+  X(requests, uint64_t, kSum, kDigest)                                        \
+  /* requests - dropped for the interval. */                                  \
+  X(delivered, uint64_t, kSum, kDerived)                                      \
+  X(reads, uint64_t, kSum, kDigest)                                           \
+  X(cache_hits, uint64_t, kSum, kDigest)                                      \
+  X(dropped, uint64_t, kSum, kDigest)
+
+#define DISTCACHE_STATS_MEMBER(name, type, merge, kind) type name = 0;
+
 // Aggregate result of a backend run. Loads are cumulative arrival units (a read = 1
 // unit; writes add the coherence costs from ClusterConfig), indexed by node.
 struct BackendStats {
-  uint64_t requests = 0;
-  uint64_t reads = 0;
-  uint64_t writes = 0;
-  uint64_t cache_hits = 0;   // reads answered by a cache switch
-  uint64_t spine_hits = 0;   // hits absorbed by the top (spine) layer
-  uint64_t leaf_hits = 0;    // hits absorbed by any lower layer (mid or leaf)
-  uint64_t server_reads = 0; // reads served by the primary storage server
-  // Dynamic-policy write path (core/cache_policy.h; zero under the default
-  // static policy): writes absorbed by a cache node under write-back, and dirty
-  // lines flushed to their primary server (on eviction, demotion off the bottom
-  // layer, or a write falling through to the server).
-  uint64_t cache_write_hits = 0;
-  uint64_t writebacks = 0;
-  // Requests blackholed by a dead spine switch before the controller reacted
-  // (ECMP transit through a failed switch, §4.4); they charge no load anywhere.
-  uint64_t dropped = 0;
-  uint64_t cross_shard_messages = 0;  // sharded backend only (ring + control)
-  // Sharded-transport instrumentation (zero elsewhere): messages that travelled
-  // over the lock-free data-plane rings vs the mutex control channel, and the
-  // batch-boundary control-channel polls split by whether the lock-free
-  // emptiness fast path resolved them (uncontended) or the mutex was taken
-  // (contended). The scaling bench reports these — a healthy run is ~all-ring
-  // traffic and ~all-uncontended polls.
-  uint64_t ring_messages = 0;
-  uint64_t uncontended_receives = 0;
-  uint64_t contended_receives = 0;
-  // Multiproc engine only: shard processes that died (crashed / were killed)
-  // before reporting their stats. Nonzero means the run's counters are a
-  // partial picture and the driver should report failure — the crash-isolation
-  // contract: a dead shard yields an explicit error, never a hang.
-  uint64_t failed_shards = 0;
-  // Multiproc engine only: re-forks performed under respawn mode (supervisor-
-  // set; counts every respawn, so one shard killed twice contributes 2). A
-  // shard that exhausts SimBackendConfig::respawn_limit still counts failed.
-  uint64_t respawned_shards = 0;
-  // Multiproc engine only: injected faults the shard processes survived and
-  // recorded (stall/drop/delay/corrupt; crash-class injections kill the
-  // recorder, so the supervisor's fault_events entry is their record).
-  uint64_t injected_faults = 0;
-  // Multiproc engine only: heartbeat warn episodes the supervisor observed
-  // (a shard silent past heartbeat_warn_ms; wall-clock, not deterministic).
-  uint64_t heartbeat_misses = 0;
-  // Multiproc engine only: realloc-rendezvous controller takeovers (the
-  // configured controller was dead, the next live shard by index published
-  // the tables instead). Child-recorded, deterministic for a given plan.
-  uint64_t controller_failovers = 0;
-  // Multiproc engine only: fraction of the run's request quota lost to shards
-  // that died without (or beyond) respawn — lost_quota / num_requests. The
-  // proportional-degradation contract: losing 1 of N shards without respawn
-  // costs 1/N of the quota and nothing else.
-  double degraded_fraction = 0.0;
-
-  // ---- memory accounting -----------------------------------------------------
-  // Peak resident set (getrusage ru_maxrss) of the process that produced these
-  // stats. Merge keeps the max: multi-process children each count their view
-  // of shared pages, so a sum would overcount the arena/COW pages — the max is
-  // the honest single-number summary, and bench_memwall derives totals from
-  // the deterministic byte fields below instead.
-  uint64_t peak_rss_bytes = 0;
-  // Bytes held by this engine's route-table snapshots (base table + every
-  // precomputed timeline snapshot, compact hot-prefix layout). Merge keeps the
-  // max: in-process shards share one plan and multiproc children alias one
-  // arena/COW copy, so per-shard partials all report the same figure.
-  uint64_t route_table_bytes = 0;
-  // Bytes held by this engine's per-process workload sampler(s): the dense
-  // alias / inverse-CDF tables, or the O(hot) two-level sampler. Merge keeps
-  // the max (shards are symmetric); bench_memwall multiplies by the shard
-  // count when it wants the per-process private total.
-  uint64_t sampler_bytes = 0;
-  // Multiproc engine only: bytes of the shared-memory arena, mapped once and
-  // shared by every shard process (supervisor-set after the merge).
-  uint64_t arena_bytes = 0;
+  DISTCACHE_BACKEND_STATS_SCALARS(DISTCACHE_STATS_MEMBER)
 
   // One entry per sample_interval requests (when SimBackendConfig::sample_interval
   // is set): the per-interval slice of the aggregate counters, for failure
   // time-series plots. delivered == requests - dropped for the interval.
   struct IntervalPoint {
-    uint64_t requests = 0;
-    uint64_t delivered = 0;
-    uint64_t dropped = 0;
-    uint64_t reads = 0;
-    uint64_t cache_hits = 0;
+    DISTCACHE_INTERVAL_POINT_COUNTERS(DISTCACHE_STATS_MEMBER)
     // This interval's latency slice (empty on closed-loop runs). Inside the
     // engines' interval mark it holds the cumulative snapshot the next delta is
     // taken against.
@@ -376,8 +428,6 @@ struct BackendStats {
   // engine's quota-end Merge yields the bucket-exact union of its streams.
   LatencyHistogram latency;
 
-  double wall_seconds = 0.0;
-
   // Fraction of reads absorbed by the cache layers (the paper's cache hit ratio).
   double hit_ratio() const {
     return reads == 0 ? 0.0 : static_cast<double>(cache_hits) / static_cast<double>(reads);
@@ -393,9 +443,12 @@ struct BackendStats {
   // Max/mean cumulative load across storage servers.
   double ServerImbalance() const;
 
-  // Element-wise accumulate (used to merge per-shard partial stats).
+  // Combines another shard's partial stats into these: each table row by its
+  // merge rule, vectors element-wise, series per index, fault records appended.
   void Merge(const BackendStats& other);
 };
+
+#undef DISTCACHE_STATS_MEMBER
 
 class SimBackend {
  public:

@@ -1,5 +1,6 @@
 #include "sim/stats_codec.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/hash.h"
@@ -28,8 +29,11 @@ struct Writer {
     p += n;
     left -= n;
   }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }
+  template <class T>
+  void Put(T v) {
+    Bytes(&v, sizeof(v));
+  }
+  void U64(uint64_t v) { Put(v); }
   void DoubleVec(const std::vector<double>& v) {
     U64(v.size());
     Bytes(v.data(), v.size() * sizeof(double));
@@ -53,14 +57,13 @@ struct Reader {
     p += n;
     left -= n;
   }
+  template <class T>
+  void Get(T* v) {
+    Bytes(v, sizeof(T));
+  }
   uint64_t U64() {
     uint64_t v = 0;
-    Bytes(&v, sizeof(v));
-    return v;
-  }
-  double F64() {
-    double v = 0.0;
-    Bytes(&v, sizeof(v));
+    Get(&v);
     return v;
   }
   bool DoubleVec(std::vector<double>* v) {
@@ -80,7 +83,7 @@ void PutHistogram(Writer& w, const LatencyHistogram& h) {
   w.Bytes(counts.data(), counts.size() * sizeof(uint64_t));
   w.U64(h.total());
   w.U64(h.infinite());
-  w.F64(h.finite_sum());
+  w.Put(h.finite_sum());
 }
 
 bool GetHistogram(Reader& r, LatencyHistogram* h) {
@@ -93,7 +96,8 @@ bool GetHistogram(Reader& r, LatencyHistogram* h) {
   r.Bytes(counts.data(), n * sizeof(uint64_t));
   const uint64_t total = r.U64();
   const uint64_t infinite = r.U64();
-  const double sum = r.F64();
+  double sum = 0.0;
+  r.Get(&sum);
   if (!r.ok) {
     return false;
   }
@@ -103,51 +107,68 @@ bool GetHistogram(Reader& r, LatencyHistogram* h) {
 
 constexpr size_t kHistogramBound =
     8 + LatencyHistogram::kNumBuckets * 8 + 8 + 8 + 8;
-constexpr size_t kCounterBound = 25 * 8 + 8;  // counters + doubles + slack word
 constexpr size_t kFaultRecordBound = 2 * 4 + 8;  // shard + kind + at
+
+// The field table (sim_backend.h) expanded once per codec direction, for the
+// bound and for the digest.
+#define DISTCACHE_STAT_BYTES(name, type, merge, kind) +sizeof(type)
+#define DISTCACHE_PUT_STAT(name, type, merge, kind) w.Put(v.name);
+#define DISTCACHE_GET_STAT(name, type, merge, kind) r.Get(&v->name);
+#define DISTCACHE_MIX_STAT(name, type, merge, kind)    \
+  if constexpr (StatsKind::kind == StatsKind::kDigest) { \
+    mix(std::bit_cast<uint64_t>(v.name));                \
+  }
+
+constexpr size_t kScalarBytes =
+    0 DISTCACHE_BACKEND_STATS_SCALARS(DISTCACHE_STAT_BYTES);
+constexpr size_t kCounterBytes =
+    0 DISTCACHE_INTERVAL_POINT_COUNTERS(DISTCACHE_STAT_BYTES);
+
+void PutScalars(Writer& w, const BackendStats& v) {
+  DISTCACHE_BACKEND_STATS_SCALARS(DISTCACHE_PUT_STAT)
+}
+void PutCounters(Writer& w, const BackendStats::IntervalPoint& v) {
+  DISTCACHE_INTERVAL_POINT_COUNTERS(DISTCACHE_PUT_STAT)
+}
+void GetScalars(Reader& r, BackendStats* v) {
+  DISTCACHE_BACKEND_STATS_SCALARS(DISTCACHE_GET_STAT)
+}
+void GetCounters(Reader& r, BackendStats::IntervalPoint* v) {
+  DISTCACHE_INTERVAL_POINT_COUNTERS(DISTCACHE_GET_STAT)
+}
+
+template <class Mix>
+void MixScalars(const Mix& mix, const BackendStats& v) {
+  DISTCACHE_BACKEND_STATS_SCALARS(DISTCACHE_MIX_STAT)
+}
+template <class Mix>
+void MixCounters(const Mix& mix, const BackendStats::IntervalPoint& v) {
+  DISTCACHE_INTERVAL_POINT_COUNTERS(DISTCACHE_MIX_STAT)
+}
+
+#undef DISTCACHE_STAT_BYTES
+#undef DISTCACHE_PUT_STAT
+#undef DISTCACHE_GET_STAT
+#undef DISTCACHE_MIX_STAT
 
 }  // namespace
 
 size_t StatsCodecBound(size_t num_layers, size_t num_cache_nodes,
                        size_t num_servers, size_t max_series_points,
                        size_t max_fault_events) {
-  size_t bytes = kCounterBound;
+  size_t bytes = kScalarBytes + 8;                    // scalars + slack word
   bytes += 8 + num_layers * 8 + num_cache_nodes * 8;  // cache_load
   bytes += 8 + num_servers * 8;                       // server_load
   bytes += kHistogramBound;                           // latency
-  bytes += 8 + max_series_points * (5 * 8 + kHistogramBound);  // series
-  bytes += 8 + max_fault_events * kFaultRecordBound;           // fault_events
+  bytes += 8 + max_series_points * (kCounterBytes + kHistogramBound);  // series
+  bytes += 8 + max_fault_events * kFaultRecordBound;  // fault_events
   return bytes;
 }
 
 size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
                              size_t cap) {
   Writer w{out, cap};
-  w.U64(stats.requests);
-  w.U64(stats.reads);
-  w.U64(stats.writes);
-  w.U64(stats.cache_hits);
-  w.U64(stats.spine_hits);
-  w.U64(stats.leaf_hits);
-  w.U64(stats.server_reads);
-  w.U64(stats.cache_write_hits);
-  w.U64(stats.writebacks);
-  w.U64(stats.dropped);
-  w.U64(stats.cross_shard_messages);
-  w.U64(stats.ring_messages);
-  w.U64(stats.uncontended_receives);
-  w.U64(stats.contended_receives);
-  w.U64(stats.failed_shards);
-  w.U64(stats.respawned_shards);
-  w.U64(stats.injected_faults);
-  w.U64(stats.heartbeat_misses);
-  w.U64(stats.controller_failovers);
-  w.F64(stats.degraded_fraction);
-  w.U64(stats.peak_rss_bytes);
-  w.U64(stats.route_table_bytes);
-  w.U64(stats.sampler_bytes);
-  w.U64(stats.arena_bytes);
-  w.F64(stats.wall_seconds);
+  PutScalars(w, stats);
   w.U64(stats.cache_load.size());
   for (const std::vector<double>& layer : stats.cache_load) {
     w.DoubleVec(layer);
@@ -156,11 +177,7 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
   PutHistogram(w, stats.latency);
   w.U64(stats.series.size());
   for (const BackendStats::IntervalPoint& pt : stats.series) {
-    w.U64(pt.requests);
-    w.U64(pt.delivered);
-    w.U64(pt.dropped);
-    w.U64(pt.reads);
-    w.U64(pt.cache_hits);
+    PutCounters(w, pt);
     PutHistogram(w, pt.latency);
   }
   w.U64(stats.fault_events.size());
@@ -175,31 +192,7 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
 bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
   *out = BackendStats{};
   Reader r{in, len};
-  out->requests = r.U64();
-  out->reads = r.U64();
-  out->writes = r.U64();
-  out->cache_hits = r.U64();
-  out->spine_hits = r.U64();
-  out->leaf_hits = r.U64();
-  out->server_reads = r.U64();
-  out->cache_write_hits = r.U64();
-  out->writebacks = r.U64();
-  out->dropped = r.U64();
-  out->cross_shard_messages = r.U64();
-  out->ring_messages = r.U64();
-  out->uncontended_receives = r.U64();
-  out->contended_receives = r.U64();
-  out->failed_shards = r.U64();
-  out->respawned_shards = r.U64();
-  out->injected_faults = r.U64();
-  out->heartbeat_misses = r.U64();
-  out->controller_failovers = r.U64();
-  out->degraded_fraction = r.F64();
-  out->peak_rss_bytes = r.U64();
-  out->route_table_bytes = r.U64();
-  out->sampler_bytes = r.U64();
-  out->arena_bytes = r.U64();
-  out->wall_seconds = r.F64();
+  GetScalars(r, out);
   const uint64_t layers = r.U64();
   if (!r.ok || layers > r.left / 8) {
     *out = BackendStats{};
@@ -212,18 +205,14 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
   r.DoubleVec(&out->server_load);
   GetHistogram(r, &out->latency);
   const uint64_t points = r.U64();
-  if (!r.ok || points > r.left / (5 * 8)) {
+  if (!r.ok || points > r.left / kCounterBytes) {
     *out = BackendStats{};
     return false;
   }
   out->series.resize(points);
   for (uint64_t i = 0; i < points; ++i) {
     BackendStats::IntervalPoint& pt = out->series[i];
-    pt.requests = r.U64();
-    pt.delivered = r.U64();
-    pt.dropped = r.U64();
-    pt.reads = r.U64();
-    pt.cache_hits = r.U64();
+    GetCounters(r, &pt);
     GetHistogram(r, &pt.latency);
   }
   const uint64_t faults = r.U64();
@@ -248,27 +237,10 @@ bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out) {
 uint64_t DeterministicStatsDigest(const BackendStats& stats) {
   uint64_t h = 0x5eed0d16e57ULL;
   const auto mix = [&h](uint64_t v) { h = Mix64(HashCombine(h, v)); };
-  mix(stats.requests);
-  mix(stats.reads);
-  mix(stats.writes);
-  mix(stats.cache_hits);
-  mix(stats.server_reads);
-  mix(stats.cache_write_hits);
-  mix(stats.writebacks);
-  mix(stats.dropped);
-  mix(stats.failed_shards);
-  mix(stats.respawned_shards);
-  mix(stats.injected_faults);
-  mix(stats.controller_failovers);
-  uint64_t degraded_bits = 0;
-  std::memcpy(&degraded_bits, &stats.degraded_fraction, sizeof(degraded_bits));
-  mix(degraded_bits);
+  MixScalars(mix, stats);
   mix(stats.series.size());
   for (const BackendStats::IntervalPoint& pt : stats.series) {
-    mix(pt.requests);
-    mix(pt.reads);
-    mix(pt.cache_hits);
-    mix(pt.dropped);
+    MixCounters(mix, pt);
   }
   return h;
 }

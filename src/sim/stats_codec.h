@@ -18,6 +18,11 @@
 //
 // Fields host-endian: the producer and consumer are a fork pair on one
 // machine, never a network peer.
+//
+// Every scalar moves as one row of the stats field table in sim_backend.h,
+// in table order; the table is the one place to add a field; the codec, its
+// bound and the digest below follow from it. Only the vectors, histograms and
+// fault records are written out here by hand.
 #ifndef DISTCACHE_SIM_STATS_CODEC_H_
 #define DISTCACHE_SIM_STATS_CODEC_H_
 
@@ -48,16 +53,13 @@ size_t SerializeBackendStats(const BackendStats& stats, uint8_t* out,
 bool DeserializeBackendStats(const uint8_t* in, size_t len, BackendStats* out);
 
 // Order-independent digest over the *deterministic* subset of a run's stats:
-// the per-shard-stream counters (requests/reads/writes/cache_hits/
-// server_reads/dropped and the policy write path), failure accounting
-// (failed/respawned shards, injected faults, controller failovers,
-// degraded_fraction bits) and the per-interval request/read/hit series. It
-// deliberately excludes everything timing-dependent — telemetry-order-
-// sensitive layer splits (spine_hits/leaf_hits) and load vectors at shards>1,
-// wall seconds, RSS, heartbeat misses, transport message counts, and the
-// fault event series (supervisor entries fire on the wall clock). Same seed +
-// same fault plan ⇒ same digest; this is the byte-identity gate bench_chaos
-// and the chaos tests assert.
+// the field table's kDigest rows (sim_backend.h) and the interval series'
+// kDigest counters. Everything timing-dependent stays out — the kOneShard
+// rows (telemetry-order-sensitive layer splits), the kEngine rows (wall
+// seconds, RSS, heartbeat misses, transport message counts), the load vectors
+// and the fault event series (supervisor entries fire on the wall clock).
+// Same seed + same fault plan ⇒ same digest; this is the byte-identity gate
+// bench_chaos and the chaos tests assert.
 uint64_t DeterministicStatsDigest(const BackendStats& stats);
 
 }  // namespace distcache

@@ -70,6 +70,36 @@ TEST(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseFaultPlan("kill:9@10", 4, 100'000, 42, &plan, &error));
 }
 
+// Numbers that once parsed into a different, valid-looking plan: the count
+// and the shard were narrowed to uint32 (4294967297 faults became 1, shard
+// 4294967296 became shard 0) and a leading '-' wrapped through strtoull.
+TEST(FaultPlanTest, RejectsNumbersThatWouldWrap) {
+  for (const char* spec :
+       {"random:4294967297", "kill:4294967296@10", "kill:-1@10", "kill:0@-5",
+        "stall:0@10:-5", "kill:+1@10", "kill:0@ 5", "kill:0@10:"}) {
+    FaultPlan plan;
+    std::string error;
+    EXPECT_FALSE(ParseFaultPlan(spec, 4, 100'000, 42, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
+TEST(FaultPlanTest, RandomCountIsCappedBeforeAllocating) {
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("random:" + std::to_string(kMaxRandomFaults), 4,
+                             100'000, 42, &plan, &error))
+      << error;
+  EXPECT_EQ(plan.events.size(), kMaxRandomFaults);
+  for (const std::string& spec :
+       {"random:" + std::to_string(kMaxRandomFaults + 1), std::string("random:-1"),
+        std::string("random:18446744073709551615")}) {
+    error.clear();
+    EXPECT_FALSE(ParseFaultPlan(spec, 4, 100'000, 42, &plan, &error)) << spec;
+    EXPECT_FALSE(error.empty()) << spec;
+  }
+}
+
 TEST(FaultPlanTest, RandomSpecIsSeededAndDeterministic) {
   FaultPlan a;
   FaultPlan b;

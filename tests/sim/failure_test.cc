@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
@@ -94,11 +95,8 @@ TEST(Failure, EmptyTimelineIsIdentityForSequential) {
   const BackendStats a = MakeSimBackend(BackendKind::kSequential, cfg)->Run(100'000);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, with_empty)->Run(100'000);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.spine_hits, b.spine_hits);
-  EXPECT_EQ(a.server_reads, b.server_reads);
+  ExpectSameStats(a, b, StatsScope::kOneShard);
   EXPECT_EQ(a.dropped, 0u);
-  EXPECT_EQ(b.dropped, 0u);
 }
 
 // Acceptance: sharded vs sequential hit-ratio parity within 1% under the Fig. 11

@@ -25,51 +25,16 @@
 #include "runtime/fault_plan.h"
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
-#include "sim/stats_codec.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define DISTCACHE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DISTCACHE_TSAN 1
-#endif
-#endif
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
 
-bool MultiprocRunnable() {
-#if defined(DISTCACHE_TSAN)
-  return false;
-#else
-  return MultiprocBackend::Supported();
-#endif
-}
-
-#define SKIP_UNLESS_MULTIPROC_RUNNABLE()                                  \
-  do {                                                                    \
-    if (!MultiprocRunnable()) {                                           \
-      GTEST_SKIP() << "multiproc backend not runnable here (TSan build, " \
-                      "non-Linux, or shm arena unavailable)";             \
-    }                                                                     \
-  } while (0)
-
 constexpr uint64_t kRequests = 200'000;
 
-// Same cluster the multiproc golden tests use: 8 spines, 8 racks, 4
-// servers/rack, 1M keys, zipf 0.99, 20% writes, seed 42, batch 64.
+// GoldenBackendConfig(shards) plus a fault plan over kRequests.
 SimBackendConfig FaultConfig(uint32_t shards, const std::string& plan_spec) {
-  SimBackendConfig bcfg;
-  bcfg.cluster.num_spine = 8;
-  bcfg.cluster.num_racks = 8;
-  bcfg.cluster.servers_per_rack = 4;
-  bcfg.cluster.per_switch_objects = 50;
-  bcfg.cluster.num_keys = 1'000'000;
-  bcfg.cluster.zipf_theta = 0.99;
-  bcfg.cluster.write_ratio = 0.2;
-  bcfg.cluster.seed = 42;
-  bcfg.shards = shards;
-  bcfg.batch_size = 64;
+  SimBackendConfig bcfg = GoldenBackendConfig(shards);
   if (!plan_spec.empty()) {
     std::string error;
     EXPECT_TRUE(ParseFaultPlan(plan_spec, shards, kRequests, bcfg.cluster.seed,
@@ -241,14 +206,7 @@ TEST(FaultInjection, SameSeedSameFaultPlanIsByteIdentical) {
   const BackendStats b =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
 
-  // Spot checks first so a mismatch names the diverging counter...
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.failed_shards, b.failed_shards);
-  EXPECT_EQ(a.respawned_shards, b.respawned_shards);
-  // ...then the full deterministic-subset digest.
-  EXPECT_EQ(DeterministicStatsDigest(a), DeterministicStatsDigest(b));
+  ExpectSameStats(a, b, StatsScope::kAnyShardCount);
 }
 
 // ---- controller failover ---------------------------------------------------

@@ -16,36 +16,10 @@
 #include "sim/cluster_model.h"
 #include "sim/route_table.h"
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
-
-ClusterConfig GoldenCluster() {
-  ClusterConfig cfg;
-  cfg.num_spine = 8;
-  cfg.num_racks = 8;
-  cfg.servers_per_rack = 4;
-  cfg.per_switch_objects = 50;
-  cfg.num_keys = 1'000'000;
-  cfg.zipf_theta = 0.99;
-  cfg.write_ratio = 0.2;
-  cfg.seed = 42;
-  return cfg;
-}
-
-struct LoadSummary {
-  double sum = 0.0;
-  double max = 0.0;
-};
-
-LoadSummary Summarize(const std::vector<double>& loads) {
-  LoadSummary s;
-  for (double x : loads) {
-    s.sum += x;
-    s.max = std::max(s.max, x);
-  }
-  return s;
-}
 
 // Captured from the pre-refactor (seed) build: sequential engine, 200k requests
 // on GoldenCluster(). Integer counters must be exact; the doubles are exact too
@@ -199,14 +173,7 @@ TEST(TwoLayerGolden, ExplicitLayerVectorMatchesLegacyShape) {
       MakeSimBackend(BackendKind::kSequential, legacy)->Run(100'000);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, layered)->Run(100'000);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.spine_hits, b.spine_hits);
-  EXPECT_EQ(a.server_reads, b.server_reads);
-  ASSERT_EQ(a.cache_load.size(), b.cache_load.size());
-  for (size_t l = 0; l < a.cache_load.size(); ++l) {
-    EXPECT_EQ(a.cache_load[l], b.cache_load[l]) << "layer " << l;
-  }
-  EXPECT_EQ(a.server_load, b.server_load);
+  ExpectSameStats(a, b, StatsScope::kOneShard);
 }
 
 ClusterConfig ThreeLayerCluster() {

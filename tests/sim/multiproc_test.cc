@@ -31,72 +31,10 @@
 #include "sim/multiproc_backend.h"
 #include "sim/sim_backend.h"
 #include "sim/stats_codec.h"
-
-#if defined(__SANITIZE_THREAD__)
-#define DISTCACHE_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DISTCACHE_TSAN 1
-#endif
-#endif
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
-
-bool MultiprocRunnable() {
-#if defined(DISTCACHE_TSAN)
-  return false;
-#else
-  return MultiprocBackend::Supported();
-#endif
-}
-
-#define SKIP_UNLESS_MULTIPROC_RUNNABLE()                                  \
-  do {                                                                    \
-    if (!MultiprocRunnable()) {                                           \
-      GTEST_SKIP() << "multiproc backend not runnable here (TSan build, " \
-                      "non-Linux, or shm arena unavailable)";             \
-    }                                                                     \
-  } while (0)
-
-// The scaling_test.cc golden cluster (8 spines, 8 racks, 4 servers/rack, 1M
-// keys, zipf 0.99, 20% writes, seed 42) and batch size — the bit-level pins
-// are only valid at the batch size they were captured under.
-SimBackendConfig GoldenBackendConfig(uint32_t shards) {
-  SimBackendConfig bcfg;
-  bcfg.cluster.num_spine = 8;
-  bcfg.cluster.num_racks = 8;
-  bcfg.cluster.servers_per_rack = 4;
-  bcfg.cluster.per_switch_objects = 50;
-  bcfg.cluster.num_keys = 1'000'000;
-  bcfg.cluster.zipf_theta = 0.99;
-  bcfg.cluster.write_ratio = 0.2;
-  bcfg.cluster.seed = 42;
-  bcfg.shards = shards;
-  bcfg.batch_size = 64;
-  return bcfg;
-}
-
-std::vector<ClusterEvent> FullTimeline() {
-  return {ClusterEvent::FailSpine(40'000, 2), ClusterEvent::RunRecovery(60'000),
-          ClusterEvent::ShiftHotspot(90'000, 12'345),
-          ClusterEvent::ReallocateCache(120'000),
-          ClusterEvent::RecoverSpine(150'000, 2)};
-}
-
-struct LoadSummary {
-  double sum = 0.0;
-  double max = 0.0;
-};
-
-LoadSummary Summarize(const std::vector<double>& loads) {
-  LoadSummary s;
-  for (double x : loads) {
-    s.sum += x;
-    s.max = std::max(s.max, x);
-  }
-  return s;
-}
 
 // The exact constants ShardedGolden.SingleShardStaticRunMatchesPreRefactorBuild
 // pins for the in-process engine: one substrate's goldens are the other's.
@@ -180,27 +118,7 @@ TEST(MultiprocGolden, SingleProcessTracksInProcessShardedExactly) {
   const BackendStats multiproc =
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(150'000);
 
-  EXPECT_EQ(multiproc.requests, sharded.requests);
-  EXPECT_EQ(multiproc.reads, sharded.reads);
-  EXPECT_EQ(multiproc.cache_hits, sharded.cache_hits);
-  EXPECT_EQ(multiproc.spine_hits, sharded.spine_hits);
-  EXPECT_EQ(multiproc.server_reads, sharded.server_reads);
-  EXPECT_EQ(multiproc.dropped, sharded.dropped);
-  ASSERT_EQ(multiproc.cache_load.size(), sharded.cache_load.size());
-  for (size_t l = 0; l < sharded.cache_load.size(); ++l) {
-    ASSERT_EQ(multiproc.cache_load[l].size(), sharded.cache_load[l].size());
-    for (size_t i = 0; i < sharded.cache_load[l].size(); ++i) {
-      EXPECT_EQ(multiproc.cache_load[l][i], sharded.cache_load[l][i])
-          << "layer " << l << " node " << i;  // bit-exact, not NEAR
-    }
-  }
-  EXPECT_EQ(multiproc.latency.total(), sharded.latency.total());
-  EXPECT_EQ(multiproc.latency.finite_sum(), sharded.latency.finite_sum());
-  ASSERT_EQ(multiproc.series.size(), sharded.series.size());
-  for (size_t i = 0; i < sharded.series.size(); ++i) {
-    EXPECT_EQ(multiproc.series[i].requests, sharded.series[i].requests);
-    EXPECT_EQ(multiproc.series[i].cache_hits, sharded.series[i].cache_hits);
-  }
+  ExpectSameStats(multiproc, sharded, StatsScope::kOneShard);
 }
 
 // Shard-process parity on the full timeline, mirroring the in-process
@@ -251,27 +169,7 @@ TEST(MultiprocPolicy, LruTimelineMatchesShardedAtOneAndCompletesAtTwo) {
       MakeSimBackend(BackendKind::kMultiproc, bcfg)->Run(kRequests);
 
   ASSERT_GT(sharded.hit_ratio(), 0.2);
-  EXPECT_EQ(multiproc.failed_shards, 0u);
-  EXPECT_EQ(multiproc.requests, sharded.requests);
-  EXPECT_EQ(multiproc.reads, sharded.reads);
-  EXPECT_EQ(multiproc.writes, sharded.writes);
-  EXPECT_EQ(multiproc.cache_hits, sharded.cache_hits);
-  EXPECT_EQ(multiproc.spine_hits, sharded.spine_hits);
-  EXPECT_EQ(multiproc.leaf_hits, sharded.leaf_hits);
-  EXPECT_EQ(multiproc.server_reads, sharded.server_reads);
-  EXPECT_EQ(multiproc.cache_write_hits, sharded.cache_write_hits);
-  EXPECT_EQ(multiproc.writebacks, sharded.writebacks);
-  EXPECT_EQ(multiproc.dropped, sharded.dropped);
-  EXPECT_EQ(multiproc.cache_load, sharded.cache_load);  // bit-exact doubles
-  EXPECT_EQ(multiproc.server_load, sharded.server_load);
-  ASSERT_EQ(multiproc.series.size(), sharded.series.size());
-  for (size_t i = 0; i < sharded.series.size(); ++i) {
-    EXPECT_EQ(multiproc.series[i].requests, sharded.series[i].requests);
-    EXPECT_EQ(multiproc.series[i].delivered, sharded.series[i].delivered);
-    EXPECT_EQ(multiproc.series[i].dropped, sharded.series[i].dropped);
-    EXPECT_EQ(multiproc.series[i].reads, sharded.series[i].reads);
-    EXPECT_EQ(multiproc.series[i].cache_hits, sharded.series[i].cache_hits);
-  }
+  ExpectSameStats(multiproc, sharded, StatsScope::kOneShard);
 
   bcfg.shards = 2;
   const BackendStats two =
@@ -418,46 +316,12 @@ TEST(StatsCodec, RoundTripsARealRunBitForBit) {
 
   BackendStats rt;
   ASSERT_TRUE(DeserializeBackendStats(buf.data(), len, &rt));
-  EXPECT_EQ(rt.requests, st.requests);
-  EXPECT_EQ(rt.reads, st.reads);
-  EXPECT_EQ(rt.writes, st.writes);
-  EXPECT_EQ(rt.cache_hits, st.cache_hits);
-  EXPECT_EQ(rt.spine_hits, st.spine_hits);
-  EXPECT_EQ(rt.leaf_hits, st.leaf_hits);
-  EXPECT_EQ(rt.server_reads, st.server_reads);
-  EXPECT_EQ(rt.dropped, st.dropped);
-  EXPECT_EQ(rt.failed_shards, st.failed_shards);
-  // Memory fields (PR 9): a real sequential run stamps RSS, table and sampler
-  // bytes — they must survive the hand-off too.
+  ExpectSameStats(rt, st, StatsScope::kEverything);
+  // A real sequential run stamps RSS, table and sampler bytes, so the round
+  // trip above compared live values.
   EXPECT_GT(st.peak_rss_bytes, 0u);
   EXPECT_GT(st.route_table_bytes, 0u);
   EXPECT_GT(st.sampler_bytes, 0u);
-  EXPECT_EQ(rt.peak_rss_bytes, st.peak_rss_bytes);
-  EXPECT_EQ(rt.route_table_bytes, st.route_table_bytes);
-  EXPECT_EQ(rt.sampler_bytes, st.sampler_bytes);
-  EXPECT_EQ(rt.arena_bytes, st.arena_bytes);
-  EXPECT_EQ(rt.respawned_shards, st.respawned_shards);
-  EXPECT_EQ(rt.wall_seconds, st.wall_seconds);  // == : bit-exact double
-  ASSERT_EQ(rt.cache_load.size(), st.cache_load.size());
-  for (size_t l = 0; l < st.cache_load.size(); ++l) {
-    ASSERT_EQ(rt.cache_load[l], st.cache_load[l]);  // element bit-exact
-  }
-  EXPECT_EQ(rt.server_load, st.server_load);
-  EXPECT_EQ(rt.latency.counts(), st.latency.counts());
-  EXPECT_EQ(rt.latency.total(), st.latency.total());
-  EXPECT_EQ(rt.latency.infinite(), st.latency.infinite());
-  EXPECT_EQ(rt.latency.finite_sum(), st.latency.finite_sum());
-  ASSERT_EQ(rt.series.size(), st.series.size());
-  for (size_t i = 0; i < st.series.size(); ++i) {
-    EXPECT_EQ(rt.series[i].requests, st.series[i].requests);
-    EXPECT_EQ(rt.series[i].delivered, st.series[i].delivered);
-    EXPECT_EQ(rt.series[i].dropped, st.series[i].dropped);
-    EXPECT_EQ(rt.series[i].reads, st.series[i].reads);
-    EXPECT_EQ(rt.series[i].cache_hits, st.series[i].cache_hits);
-    EXPECT_EQ(rt.series[i].latency.counts(), st.series[i].latency.counts());
-    EXPECT_EQ(rt.series[i].latency.finite_sum(),
-              st.series[i].latency.finite_sum());
-  }
 }
 
 TEST(StatsCodec, RejectsTruncatedBuffersWithoutCrashing) {

@@ -9,6 +9,7 @@
 #include "common/alias_sampler.h"
 #include "common/random.h"
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
@@ -72,11 +73,7 @@ TEST(PhaseBoundary, PhasedRunsAreDeterministicPerStream) {
        {BackendKind::kSequential, BackendKind::kSharded}) {
     const BackendStats a = MakeSimBackend(kind, cfg)->Run(kRequests);
     const BackendStats b = MakeSimBackend(kind, cfg)->Run(kRequests);
-    EXPECT_EQ(a.cache_hits, b.cache_hits);
-    EXPECT_EQ(a.reads, b.reads);
-    EXPECT_EQ(a.writes, b.writes);
-    EXPECT_EQ(a.spine_hits, b.spine_hits);
-    EXPECT_EQ(a.server_reads, b.server_reads);
+    ExpectSameStats(a, b, StatsScope::kOneShard);
   }
 }
 
@@ -110,10 +107,7 @@ TEST(PhaseBoundary, ZeroLengthPhaseIsSuperseded) {
       MakeSimBackend(BackendKind::kSequential, with_zero)->Run(kRequests);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, survivor_only)->Run(kRequests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.server_reads, b.server_reads);
+  ExpectSameStats(a, b, StatsScope::kOneShard);
 }
 
 // A shift scheduled exactly at a batch boundary (and at an exact per-shard quota
@@ -133,7 +127,7 @@ TEST(PhaseBoundary, ShiftExactlyAtBatchBoundary) {
   const BackendStats a = MakeSimBackend(BackendKind::kSharded, cfg)->Run(kRequests);
   const BackendStats b = MakeSimBackend(BackendKind::kSharded, cfg)->Run(kRequests);
   EXPECT_EQ(a.requests, kRequests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  ExpectSameStats(a, b, StatsScope::kAnyShardCount);
   ASSERT_EQ(a.series.size(), 10u);
   EXPECT_GT(a.series[3].hit_ratio(), 0.3);   // healthy before the boundary
   EXPECT_LT(a.series[6].hit_ratio(), 0.05);  // collapsed right after it
@@ -161,8 +155,7 @@ TEST(PhaseBoundary, PhaseAtRunEndNeverFires) {
   const BackendStats a = MakeSimBackend(BackendKind::kSequential, cfg)->Run(kRequests);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, with_late)->Run(kRequests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.writes, b.writes);
+  ExpectSameStats(a, b, StatsScope::kOneShard);
 }
 
 // An empty phase list must leave the engines bit-identical to their historical
@@ -175,9 +168,7 @@ TEST(PhaseBoundary, EmptyPhaseListIsIdentity) {
   const BackendStats a = MakeSimBackend(BackendKind::kSequential, cfg)->Run(100'000);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, with_empty)->Run(100'000);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.spine_hits, b.spine_hits);
-  EXPECT_EQ(a.server_reads, b.server_reads);
+  ExpectSameStats(a, b, StatsScope::kOneShard);
 }
 
 }  // namespace

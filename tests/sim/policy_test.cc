@@ -12,43 +12,28 @@
 //    analytic tolerance of the request-level engines.
 //  * Write-path counters — write-back absorbs writes at the caches and emits
 //    eviction-time writebacks; write-through never does either.
+//
+// The timeline runs use FullTimeline(). Its kReallocateCache step is dropped
+// from the plan under dynamic policies (the controller does not manage their
+// contents); it stays in the timeline to pin exactly that.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
 
-// The scaling_test.cc golden cluster (8 spines, 8 racks, 4 servers/rack, 1M
-// keys, zipf 0.99, 20% writes, seed 42) with the policy knobs exposed.
+// GoldenCluster() with the policy knobs exposed.
 ClusterConfig PolicyCluster(CachePolicyKind policy, HierarchyMode hierarchy,
                             WritePolicy write) {
-  ClusterConfig cfg;
-  cfg.num_spine = 8;
-  cfg.num_racks = 8;
-  cfg.servers_per_rack = 4;
-  cfg.per_switch_objects = 50;
-  cfg.num_keys = 1'000'000;
-  cfg.zipf_theta = 0.99;
-  cfg.write_ratio = 0.2;
-  cfg.seed = 42;
+  ClusterConfig cfg = GoldenCluster();
   cfg.cache_policy = policy;
   cfg.cache_hierarchy = hierarchy;
   cfg.write_policy = write;
   return cfg;
-}
-
-// The §4.4 + §6.4 composite timeline shared with scaling_test.cc. Note the
-// kReallocateCache step is a deliberate no-op for dynamic policies (the
-// controller does not manage their contents); it stays in the timeline to pin
-// exactly that.
-std::vector<ClusterEvent> FullTimeline() {
-  return {ClusterEvent::FailSpine(40'000, 2), ClusterEvent::RunRecovery(60'000),
-          ClusterEvent::ShiftHotspot(90'000, 12'345),
-          ClusterEvent::ReallocateCache(120'000),
-          ClusterEvent::RecoverSpine(150'000, 2)};
 }
 
 // Captured from the build that introduced the policy layer: sequential engine,

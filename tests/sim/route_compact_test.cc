@@ -9,62 +9,14 @@
 // default.)
 #include <gtest/gtest.h>
 
-
 #include "common/workload.h"
 #include "sim/cluster_model.h"
 #include "sim/route_table.h"
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
-
-SimBackendConfig GoldenBackendConfig() {
-  SimBackendConfig bcfg;
-  bcfg.cluster.mechanism = Mechanism::kDistCache;
-  bcfg.cluster.num_spine = 8;
-  bcfg.cluster.num_racks = 8;
-  bcfg.cluster.servers_per_rack = 4;
-  bcfg.cluster.per_switch_objects = 50;
-  bcfg.cluster.num_keys = 1'000'000;
-  bcfg.cluster.zipf_theta = 0.99;
-  bcfg.cluster.write_ratio = 0.2;
-  bcfg.cluster.seed = 42;
-  bcfg.batch_size = 64;
-  return bcfg;
-}
-
-std::vector<ClusterEvent> FullTimeline() {
-  return {
-      ClusterEvent::FailSpine(40'000, 2),
-      ClusterEvent::RunRecovery(60'000),
-      ClusterEvent::ShiftHotspot(90'000, 12'345),
-      ClusterEvent::ReallocateCache(120'000),
-      ClusterEvent::RecoverSpine(150'000, 2),
-  };
-}
-
-// Field-for-field equality, doubles included: compaction must not change one
-// bit of any statistic.
-void ExpectBitIdentical(const BackendStats& compact, const BackendStats& dense) {
-  EXPECT_EQ(compact.requests, dense.requests);
-  EXPECT_EQ(compact.reads, dense.reads);
-  EXPECT_EQ(compact.writes, dense.writes);
-  EXPECT_EQ(compact.cache_hits, dense.cache_hits);
-  EXPECT_EQ(compact.spine_hits, dense.spine_hits);
-  EXPECT_EQ(compact.leaf_hits, dense.leaf_hits);
-  EXPECT_EQ(compact.server_reads, dense.server_reads);
-  EXPECT_EQ(compact.dropped, dense.dropped);
-  ASSERT_EQ(compact.cache_load.size(), dense.cache_load.size());
-  for (size_t l = 0; l < compact.cache_load.size(); ++l) {
-    EXPECT_EQ(compact.cache_load[l], dense.cache_load[l]) << "cache layer " << l;
-  }
-  EXPECT_EQ(compact.server_load, dense.server_load);
-  ASSERT_EQ(compact.series.size(), dense.series.size());
-  for (size_t i = 0; i < compact.series.size(); ++i) {
-    EXPECT_EQ(compact.series[i].cache_hits, dense.series[i].cache_hits) << i;
-    EXPECT_EQ(compact.series[i].dropped, dense.series[i].dropped) << i;
-  }
-}
 
 // Engine sweep: {sequential, sharded x1} x {L=2, L=3} x {static, full
 // timeline}, dense vs compact. x1 is the deterministic substrate the golden
@@ -95,7 +47,9 @@ TEST(CompactRoutes, EnginesBitIdenticalToDenseTables) {
         SCOPED_TRACE((kind == BackendKind::kSequential ? "sequential" : "sharded") +
                      std::string(" L=") + std::to_string(layers) +
                      (timeline ? " timeline" : " static"));
-        ExpectBitIdentical(compact, dense);
+        // Field for field, doubles included: compaction must not change one
+        // bit of any statistic.
+        ExpectSameStats(compact, dense, StatsScope::kOneShard);
         // The dense build must actually be the pre-compaction layout and the
         // compact one must actually be small — guard against both modes
         // silently collapsing into one.

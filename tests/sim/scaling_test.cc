@@ -19,58 +19,10 @@
 #include <cmath>
 
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
-
-// Mirrors the layer_test.cc golden cluster (8 spines, 8 racks, 4 servers/rack,
-// 1M keys, zipf 0.99, 20% writes, seed 42).
-ClusterConfig GoldenCluster() {
-  ClusterConfig cfg;
-  cfg.num_spine = 8;
-  cfg.num_racks = 8;
-  cfg.servers_per_rack = 4;
-  cfg.per_switch_objects = 50;
-  cfg.num_keys = 1'000'000;
-  cfg.zipf_theta = 0.99;
-  cfg.write_ratio = 0.2;
-  cfg.seed = 42;
-  return cfg;
-}
-
-SimBackendConfig GoldenBackendConfig(uint32_t shards) {
-  SimBackendConfig bcfg;
-  bcfg.cluster = GoldenCluster();
-  bcfg.shards = shards;
-  // The pre-refactor default. Batch size changes the RNG draw interleaving
-  // (buckets are sampled batch-at-a-time), so the bit-level pins are only
-  // valid at the batch size they were captured under.
-  bcfg.batch_size = 64;
-  return bcfg;
-}
-
-// The §4.4 + §6.4 composite: failure, recovery remap, hot-spot shift, online
-// re-allocation from observed counts, switch restoration.
-std::vector<ClusterEvent> FullTimeline() {
-  return {ClusterEvent::FailSpine(40'000, 2), ClusterEvent::RunRecovery(60'000),
-          ClusterEvent::ShiftHotspot(90'000, 12'345),
-          ClusterEvent::ReallocateCache(120'000),
-          ClusterEvent::RecoverSpine(150'000, 2)};
-}
-
-struct LoadSummary {
-  double sum = 0.0;
-  double max = 0.0;
-};
-
-LoadSummary Summarize(const std::vector<double>& loads) {
-  LoadSummary s;
-  for (double x : loads) {
-    s.sum += x;
-    s.max = std::max(s.max, x);
-  }
-  return s;
-}
 
 // Captured from the pre-refactor build: sharded engine, 1 shard, batch 64,
 // 200k requests on GoldenCluster(), empty timeline.

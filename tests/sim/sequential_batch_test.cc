@@ -11,56 +11,12 @@
 #include "sim/cluster_model.h"
 #include "sim/engine_core.h"
 #include "sim/sim_backend.h"
-#include "sim/stats_codec.h"
+#include "tests/sim/sim_test_util.h"
 
 namespace distcache {
 namespace {
 
 constexpr uint32_t kBatchSizes[] = {1, 2, 7, 256, 4096};
-
-// The layer_test.cc golden cluster: 8 spines, 8 racks x 4 servers, 1M keys,
-// Zipf-0.99, 20% writes.
-ClusterConfig SmallCluster() {
-  ClusterConfig cfg;
-  cfg.num_spine = 8;
-  cfg.num_racks = 8;
-  cfg.servers_per_rack = 4;
-  cfg.per_switch_objects = 50;
-  cfg.num_keys = 1'000'000;
-  cfg.zipf_theta = 0.99;
-  cfg.write_ratio = 0.2;
-  cfg.seed = 42;
-  return cfg;
-}
-
-void ExpectSameRun(const BackendStats& a, const BackendStats& b) {
-  EXPECT_EQ(DeterministicStatsDigest(a), DeterministicStatsDigest(b));
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.spine_hits, b.spine_hits);
-  EXPECT_EQ(a.leaf_hits, b.leaf_hits);
-  EXPECT_EQ(a.cache_write_hits, b.cache_write_hits);
-  EXPECT_EQ(a.writebacks, b.writebacks);
-  EXPECT_EQ(a.cache_load, b.cache_load);
-  EXPECT_EQ(a.server_load, b.server_load);
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (size_t i = 0; i < a.series.size(); ++i) {
-    const BackendStats::IntervalPoint& x = a.series[i];
-    const BackendStats::IntervalPoint& y = b.series[i];
-    EXPECT_EQ(x.requests, y.requests) << i;
-    EXPECT_EQ(x.delivered, y.delivered) << i;
-    EXPECT_EQ(x.dropped, y.dropped) << i;
-    EXPECT_EQ(x.reads, y.reads) << i;
-    EXPECT_EQ(x.cache_hits, y.cache_hits) << i;
-    EXPECT_EQ(x.latency.total(), y.latency.total()) << i;
-  }
-  EXPECT_EQ(a.latency.total(), b.latency.total());
-  EXPECT_EQ(a.latency.infinite(), b.latency.infinite());
-  if (!a.latency.empty() && !b.latency.empty()) {
-    EXPECT_EQ(a.latency.Percentile(0.5), b.latency.Percentile(0.5));
-    EXPECT_EQ(a.latency.Percentile(0.99), b.latency.Percentile(0.99));
-  }
-}
 
 // Runs `config` at every batch size and compares each run with batch_size 1,
 // the request-at-a-time order. Returns that reference run.
@@ -72,8 +28,9 @@ BackendStats ExpectBatchSizeInvariant(SimBackendConfig config, uint64_t requests
   for (const uint32_t batch : kBatchSizes) {
     SCOPED_TRACE(testing::Message() << "batch_size " << batch);
     config.batch_size = batch;
-    ExpectSameRun(MakeSimBackend(BackendKind::kSequential, config)->Run(requests),
-                  reference);
+    ExpectSameStats(
+        MakeSimBackend(BackendKind::kSequential, config)->Run(requests),
+        reference, StatsScope::kOneShard);
   }
   return reference;
 }
@@ -83,7 +40,7 @@ BackendStats ExpectBatchSizeInvariant(SimBackendConfig config, uint64_t requests
 // switch restoration, a workload phase and interval sampling.
 TEST(SequentialBatch, FullTimelineIsBatchSizeInvariant) {
   SimBackendConfig config;
-  config.cluster = SmallCluster();
+  config.cluster = GoldenCluster();
   config.sample_interval = 40'000;
   config.events = {ClusterEvent::FailSpine(20'000, 0),
                    ClusterEvent::FailSpine(20'000, 1),
@@ -102,7 +59,7 @@ TEST(SequentialBatch, FullTimelineIsBatchSizeInvariant) {
 // coincide with neither an action nor a telemetry epoch.
 TEST(SequentialBatch, TwoLevelShiftReallocIsBatchSizeInvariant) {
   SimBackendConfig config;
-  config.cluster = SmallCluster();
+  config.cluster = GoldenCluster();
   config.cluster.write_ratio = 0.0;
   config.two_level_sampling = true;
   config.sample_interval = 30'000;
@@ -118,7 +75,7 @@ TEST(SequentialBatch, TwoLevelShiftReallocIsBatchSizeInvariant) {
 // queues must see the same request order at every batch size.
 TEST(SequentialBatch, LruOpenLoopIsBatchSizeInvariant) {
   SimBackendConfig config;
-  config.cluster = SmallCluster();
+  config.cluster = GoldenCluster();
   config.cluster.cache_policy = CachePolicyKind::kLru;
   config.queue.arrival.rate = 20.0;
   config.sample_interval = 25'000;
@@ -140,7 +97,7 @@ struct NullSink {
 // fractional (shard-scaled) action timestamp or sample point, the smaller of
 // the two, and UINT64_MAX once neither remains within range.
 TEST(SequentialBatch, NextAdvanceAtIsTheFirstIndexAdvanceToActsAt) {
-  ClusterConfig cluster = SmallCluster();
+  ClusterConfig cluster = GoldenCluster();
   ClusterModel model(cluster);
   EngineCore core(&model, 1, 2, /*enable_observer=*/false);
   BackendStats st;

@@ -1,4 +1,5 @@
 #include "sim/sim_backend.h"
+#include "tests/sim/sim_test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -32,14 +33,7 @@ TEST(SequentialBackend, ExactlyDeterministicForSameSeed) {
       MakeSimBackend(BackendKind::kSequential, cfg)->Run(kRequests);
   const BackendStats b =
       MakeSimBackend(BackendKind::kSequential, cfg)->Run(kRequests);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.spine_hits, b.spine_hits);
-  EXPECT_EQ(a.leaf_hits, b.leaf_hits);
-  EXPECT_EQ(a.server_reads, b.server_reads);
-  ASSERT_EQ(a.server_load.size(), b.server_load.size());
-  for (size_t i = 0; i < a.server_load.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.server_load[i], b.server_load[i]) << "server " << i;
-  }
+  ExpectSameStats(a, b, StatsScope::kOneShard);
 }
 
 // The tentpole determinism criterion: the same seed must produce the same aggregate
